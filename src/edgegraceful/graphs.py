@@ -51,14 +51,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def incidence(self) -> list[list[int]]:
-        """For each vertex, the list of edge indices incident to it."""
-        inc: list[list[int]] = [[] for _ in range(self.p)]
-        for i, (u, v) in enumerate(self.edges):
-            inc[u].append(i)
-            inc[v].append(i)
-        return inc
-
     def edge_set(self) -> set[frozenset[int]]:
         """Edges as unordered pairs, for order-insensitive comparison."""
         return {frozenset(e) for e in self.edges}

@@ -1,15 +1,32 @@
 """Backtracking construction (or exhaustive refutation) of edge-graceful labelings.
 
-The search assigns the labels 1..q to edges depth-first, one edge per level,
-never reusing a label.  With pruning on, a vertex's residue is finalized the
-moment its last incident edge gets a label; if the residue is already held
-by another finalized vertex the branch cannot lead to a valid labeling and is
-cut.  Pruning never removes a valid completion, so prune=True and prune=False
-enumerate the same solution set.
+The search assigns labels to edges depth-first, one edge per level, never
+reusing a label.  A vertex's residue depends only on its incident labels mod
+p, so labels ``l`` and ``l + p`` are interchangeable: the search tries each
+residue class once per level, always with the smallest unused label of that
+class.  The labels used within a class therefore always form a prefix, and
+every leaf reached is the canonical member of a set of ``prod m_c!``
+labelings (``m_c`` the number of labels in 1..q congruent to c) that differ
+only by permuting labels within classes and share the leaf's residues.  With
+``q = k*p + r`` that weight is ``(k+1)!**r * k!**(p-r)``.  Mode "count" adds
+the weight per leaf, mode "all" expands each leaf lazily into its labelings
+(the leaf itself first), and mode "first" returns the first leaf: of all
+valid labelings, the one whose labels read in search order are smallest.
+
+With pruning on, a vertex's residue is finalized the moment its last
+incident edge gets a label; if the residue is already held by another
+finalized vertex the branch cannot lead to a valid labeling and is cut.
+Pruning never removes a valid completion, so prune=True and prune=False
+enumerate the same solution set.  ``nodes_expanded`` counts placements in
+the class tree, not labelings.
 
 Everything is deterministic: labels are tried in increasing order and the
 edge order is fixed up front, so repeated runs give identical outcomes,
 including the node counter and, in mode "first", the same labeling.
+
+The recursion goes one Python frame per edge, so ``search`` rejects graphs
+with more edges than the interpreter's recursion limit less ``STACK_MARGIN``
+instead of overflowing.
 
 ``exhaustive_exists`` is a deliberately naive oracle (plain permutation
 scan, no pruning, no shared code path) kept for cross-checking the search.
@@ -18,7 +35,9 @@ scan, no pruning, no shared code path) kept for cross-checking the search.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
+from math import factorial
 
 from .graphs import Graph
 from .labeling import EdgeLabeling
@@ -27,6 +46,7 @@ MODES = ("first", "all", "count")
 EDGE_ORDERS = ("as-given", "completion-heuristic")
 
 ORACLE_MAX_EDGES = 10  # q! blowup guard for exhaustive_exists
+STACK_MARGIN = 200  # frames left for the caller above the one-per-edge recursion
 
 
 @dataclass(frozen=True)
@@ -111,6 +131,13 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
             )
         return SearchOutcome((), 0, 0, True)
 
+    max_depth = sys.getrecursionlimit() - STACK_MARGIN
+    if q > max_depth:
+        raise ValueError(
+            f"graph has {q} edges; the search recurses once per edge and is "
+            f"limited to {max_depth} by the interpreter's recursion limit"
+        )
+
     order = list(range(q)) if opts.edge_order == "as-given" else completion_order(graph)
     edges = [graph.edges[i] for i in order]
 
@@ -127,6 +154,9 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     prune = opts.prune
     target = 1 if opts.mode == "first" else opts.limit
     collect = opts.mode != "count"
+    # labelings each leaf stands for: rem classes hold k+1 labels, p-rem hold k
+    k, rem = divmod(q, p)
+    weight = factorial(k + 1) ** rem * factorial(k) ** (p - rem)
 
     used = [False] * (q + 1)
     sums = [0] * p
@@ -144,19 +174,40 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
         if isolated:
             residue_taken[0] = True
 
+    def leaf_labelings():
+        """The leaf's own labeling, then its other within-class permutations."""
+        labels = [0] * q
+        for pos, i in enumerate(order):
+            labels[i] = level_label[pos]
+        yield tuple(labels)
+        # edge indices per class in level order; their labels ascend with it
+        classes: list[list[int]] = [[] for _ in range(p)]
+        for pos, i in enumerate(order):
+            classes[level_label[pos] % p].append(i)
+        class_labels = [[labels[i] for i in c] for c in classes]
+        perms = itertools.product(*(itertools.permutations(c) for c in classes))
+        for perm in itertools.islice(perms, 1, None):
+            for class_edges, class_labs in zip(perm, class_labels):
+                for i, lab in zip(class_edges, class_labs):
+                    labels[i] = lab
+            yield tuple(labels)
+
     def record() -> None:
         nonlocal count, stopped
         if not prune:
             residues = [s % p for s in sums]
             if len(set(residues)) != p:
                 return
-        count += 1
         if collect:
-            labels = [0] * q
-            for pos, i in enumerate(order):
-                labels[i] = level_label[pos]
-            solutions.append(EdgeLabeling(graph, tuple(labels)))
+            for labels in leaf_labelings():
+                count += 1
+                solutions.append(EdgeLabeling(graph, labels))
+                if count == target:
+                    break
+        else:
+            count += weight
         if target is not None and count >= target:
+            count = target
             stopped = True
 
     def place(pos: int) -> None:
@@ -164,7 +215,8 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
         u, v = edges[pos]
         last = pos + 1 == q
         for lab in range(1, q + 1):
-            if used[lab]:
+            # only the smallest unused label of each residue class
+            if used[lab] or (lab > p and not used[lab - p]):
                 continue
             used[lab] = True
             sums[u] += lab

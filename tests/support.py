@@ -19,15 +19,18 @@ def residues_oracle(p: int, edges, labels) -> list[int]:
     return [s % p for s in sums]
 
 
+def all_graceful_oracle(graph: Graph) -> set[tuple[int, ...]]:
+    """Every valid labeling, by scanning every permutation (q <= 8 intended)."""
+    return {
+        perm
+        for perm in itertools.permutations(range(1, graph.q + 1))
+        if len(set(residues_oracle(graph.p, graph.edges, perm))) == graph.p
+    }
+
+
 def count_graceful_oracle(graph: Graph) -> int:
     """Count valid labelings by scanning every permutation (q <= 8 intended)."""
-    q = graph.q
-    total = 0
-    for perm in itertools.permutations(range(1, q + 1)):
-        r = residues_oracle(graph.p, graph.edges, perm)
-        if len(set(r)) == graph.p:
-            total += 1
-    return total
+    return len(all_graceful_oracle(graph))
 
 
 def random_simple_graph(rng: random.Random, max_p: int = 7, max_q: int = 8) -> Graph:

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -315,3 +319,18 @@ class TestPipeline:
         gpath.write_text(json.dumps(graph_to_doc(make_graph(3, [(0, 1), (1, 2), (2, 0)]))))
         code, out, _ = run(capsys, "lo", str(gpath))
         assert code == 0
+
+    def test_search_deeper_than_recursion_limit_exits_2(self):
+        # a traceback here would also exit 1, the "definitive no" code
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        cli = [sys.executable, "-m", "edgegraceful"]
+        gen = subprocess.run(cli + ["gen", "path", "--n", "1501"], capture_output=True,
+                             text=True, env=env, timeout=60, check=True)
+        proc = subprocess.run(cli + ["search", "-"], input=gen.stdout,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""

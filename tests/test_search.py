@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from edgegraceful import (
@@ -15,7 +17,19 @@ from edgegraceful import (
     search,
     verify,
 )
-from support import count_graceful_oracle, small_corpus
+from edgegraceful.search import STACK_MARGIN
+from support import all_graceful_oracle, count_graceful_oracle, small_corpus
+
+# mode-"first" witnesses: trying each residue class once per level must find
+# the same first labeling as trying every unused label
+PINNED_WITNESSES = [
+    (fan(1, 2), (1, 2, 3)),
+    (fan(1, 3), (1, 3, 4, 2, 5)),
+    (fan(1, 11), (1, 3, 5, 6, 8, 10, 11, 15, 17, 18, 21, 2, 4, 7, 9, 12, 13, 14, 19, 20, 16)),
+    (fan(2, 5), (1, 4, 7, 8, 9, 2, 5, 10, 14, 13, 3, 6, 12, 11)),
+    (cycle(9), (1, 2, 3, 4, 5, 6, 7, 8, 9)),
+    (path(9), (1, 2, 3, 4, 5, 6, 7, 8)),
+]
 
 
 def solution_set(outcome) -> set[tuple[int, ...]]:
@@ -139,6 +153,49 @@ class TestPruningSoundness:
         assert solution_set(heuristic) == solution_set(given)
 
 
+class TestResidueClassSearch:
+    """The kernel tries one label per residue class and level; the permutation
+    oracle, which shares no code with it, checks what each leaf stands for."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [g for g in small_corpus(n_random=50) if g.q <= 7]
+        + [fan(1, 3), fan(2, 2), fan(2, 3), cycle(7), cycle(8)],
+    )
+    def test_count_matches_permutation_oracle(self, g):
+        out = search(g, SearchOptions(mode="count"))
+        assert out.solution_count == count_graceful_oracle(g)
+        assert out.exhausted
+
+    @pytest.mark.parametrize("g", [fan(1, 3), fan(2, 2), cycle(5), path(5)],
+                             ids=["fan13", "fan22", "cycle5", "path5"])
+    def test_all_matches_permutation_oracle(self, g):
+        out = search(g, SearchOptions(mode="all"))
+        assert solution_set(out) == all_graceful_oracle(g)
+        assert out.solution_count == len(out.solutions)
+        assert out.exhausted
+
+    @pytest.mark.parametrize("g, labels", PINNED_WITNESSES)
+    def test_first_mode_witness_is_pinned(self, g, labels):
+        assert search(g).solutions[0].labels == labels
+
+    def test_all_mode_limit_with_multiplicity_three(self):
+        # p = 12, q = 29: five classes hold three labels, seven hold two
+        g = fan(2, 10)
+        out = search(g, SearchOptions(mode="all", limit=50))
+        assert out.solution_count == 50
+        assert len(solution_set(out)) == 50
+        assert all(verify(sol).edge_graceful for sol in out.solutions)
+        assert out.solutions[0] == search(g).solutions[0]
+        assert not out.exhausted
+
+    def test_count_limit_clamps_a_weighted_leaf(self):
+        # p = 4, q = 5: every leaf stands for 2! labelings
+        out = search(fan(1, 3), SearchOptions(mode="count", limit=5))
+        assert out.solution_count == 5
+        assert not out.exhausted
+
+
 class TestDegenerateInputs:
     def test_single_vertex_graph_reports_no_solution(self):
         out = search(path(1))
@@ -156,6 +213,14 @@ class TestDegenerateInputs:
             out = search(g, SearchOptions(mode="all", prune=prune))
             assert out.solution_count == 0
             assert out.exhausted
+
+    def test_depth_beyond_recursion_limit_rejected(self):
+        # odd paths are labeled 1..q in order, so q levels are reached at once
+        depth = sys.getrecursionlimit() - STACK_MARGIN
+        n = depth + 1 if depth % 2 == 0 else depth
+        assert search(path(n)).solution_count == 1
+        with pytest.raises(ValueError, match="recursion limit"):
+            search(path(depth + 2))
 
 
 class TestExhaustiveOracle:
