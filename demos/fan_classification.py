@@ -9,11 +9,12 @@ vertices and 2n-1 edges.  The script walks the whole argument:
   3. refute the smallest failures exhaustively, as independent evidence.
 """
 
+from fractions import Fraction
+
 from edgegraceful import (
     SearchOptions,
     classify_fans,
     fan,
-    fan_lo_quotient,
     lo_check,
     search,
     verify,
@@ -24,13 +25,13 @@ print("n   p   q   residual  quotient (7n^2-5n)/(2n+2)")
 for n in range(1, 16):
     g = fan(1, n)
     rep = lo_check(g.p, g.q)
-    quot = fan_lo_quotient(n)
+    quot = Fraction(rep.residual, g.p)
     mark = "pass" if rep.divides else "    "
     print(f"{n:<3} {g.p:<3} {g.q:<3} {rep.residual:<9} {str(quot):<8} {mark}")
 
 survivors = classify_fans(1_000_000)
 print(f"\nsurvivors for n up to 1,000,000: {survivors}")
-print("(the underlying Diophantine equation has finitely many solutions,")
+print("(read off the finite solution set of 7n^2 - 2nk - 5n - 2k = 0,")
 print(" so the list is complete for every larger bound as well)")
 
 print("\n=== step 2: witnesses for the survivors ===")

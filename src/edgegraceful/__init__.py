@@ -19,22 +19,15 @@ from .diophantine import (
 )
 from .graphs import Graph, cycle, fan, make_graph, path
 from .labeling import EdgeLabeling, InducedLabels, Verdict, induce, verify
-from .lo import LoReport, classify_fans, fan_lo_quotient, lo_check
-from .search import (
-    SearchOptions,
-    SearchOutcome,
-    completion_order,
-    exhaustive_exists,
-    search,
-)
+from .lo import LoReport, classify_fans, lo_check
+from .search import SearchOptions, SearchOutcome, completion_order, search
 
 __all__ = [
     "Graph", "make_graph", "fan", "cycle", "path",
     "EdgeLabeling", "InducedLabels", "Verdict", "induce", "verify",
-    "LoReport", "lo_check", "fan_lo_quotient", "classify_fans",
+    "LoReport", "lo_check", "classify_fans",
     "QuadraticDiophantine", "ReducedForm", "FactorPairRow",
     "reduce", "solve_factor_pairs", "back_substitute", "integer_solutions",
     "positive_divisors", "format_rational",
-    "SearchOptions", "SearchOutcome", "search", "exhaustive_exists",
-    "completion_order",
+    "SearchOptions", "SearchOutcome", "search", "completion_order",
 ]

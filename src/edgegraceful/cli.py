@@ -10,13 +10,14 @@ Subcommands compose through JSON documents on stdin/stdout:
     classify-fans screen usual fans, optionally confirming by search
 
 Exit codes: 0 success or positive verdict, 1 definitive negative verdict,
-2 malformed input or violated restriction.
+2 malformed input, violated restriction or closed output pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .diophantine import (
@@ -38,6 +39,13 @@ OK, NO, USAGE = 0, 1, 2
 # interchange documents
 # ---------------------------------------------------------------------------
 
+def _json_int(value, what: str) -> int:
+    """``value`` itself if it is an integer; bools, floats and the rest are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def graph_to_doc(graph: Graph) -> dict:
     return {"p": graph.p, "edges": [[u, v] for u, v in graph.edges]}
 
@@ -50,7 +58,11 @@ def graph_from_doc(doc) -> Graph:
         isinstance(e, list) and len(e) == 2 for e in edges
     ):
         raise ValueError("'edges' must be an array of two-element arrays")
-    return make_graph(int(doc["p"]), [(e[0], e[1]) for e in edges])
+    return make_graph(
+        _json_int(doc["p"], "'p'"),
+        [(_json_int(u, "an edge endpoint"), _json_int(v, "an edge endpoint"))
+         for u, v in edges],
+    )
 
 
 def labeling_to_doc(labeling: EdgeLabeling) -> dict:
@@ -69,7 +81,7 @@ def labeling_from_doc(doc) -> EdgeLabeling:
     labels = doc["labels"]
     if not isinstance(labels, list):
         raise ValueError("'labels' must be an integer array")
-    return EdgeLabeling(graph, tuple(int(x) for x in labels))
+    return EdgeLabeling(graph, tuple(_json_int(x, "a label") for x in labels))
 
 
 def labeling_to_dot(labeling: EdgeLabeling) -> str:
@@ -85,8 +97,16 @@ def labeling_to_dot(labeling: EdgeLabeling) -> str:
 
 
 def _read_json(source: str):
-    text = sys.stdin.read() if source == "-" else open(source, encoding="utf-8").read()
-    return json.loads(text)
+    if source == "-":
+        text = sys.stdin.read()
+    else:
+        with open(source, encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        # the decoder recurses once per nesting level
+        raise ValueError("JSON document nests too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +200,7 @@ def cmd_search(args) -> int:
             "screen; no labeling can exist",
             file=sys.stderr,
         )
-    opts = SearchOptions(
-        mode=args.mode,
-        limit=args.limit,
-        edge_order=args.edge_order,
-        prune=not args.no_prune,
-    )
-    outcome = search(graph, opts)
+    outcome = search(graph, SearchOptions(mode=args.mode, limit=args.limit))
     if args.mode == "count":
         print(f"solutions = {outcome.solution_count}")
     elif args.fmt == "dot":
@@ -283,9 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("input", nargs="?", default="-")
     p_search.add_argument("--mode", choices=("first", "all", "count"), default="first")
     p_search.add_argument("--limit", type=int, default=None)
-    p_search.add_argument("--no-prune", action="store_true")
-    p_search.add_argument("--edge-order", choices=("as-given", "completion-heuristic"),
-                          default="completion-heuristic")
     p_search.add_argument("--format", dest="fmt", choices=("labels", "dot"),
                           default="labels")
     p_search.set_defaults(func=cmd_search)
@@ -308,7 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head`); send what is still
+        # buffered to devnull so the interpreter's final flush stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return USAGE
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -51,10 +51,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def edge_set(self) -> set[frozenset[int]]:
-        """Edges as unordered pairs, for order-insensitive comparison."""
-        return {frozenset(e) for e in self.edges}
-
 
 def make_graph(p: int, edges) -> Graph:
     """Validating constructor; accepts any iterable of (u, v) pairs."""

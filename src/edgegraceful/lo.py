@@ -2,18 +2,24 @@
 
 If a graph on p vertices and q edges is edge-graceful, then p divides
 q^2 + q - p(p-1)/2.  The condition is necessary only: passing it never
-certifies edge-gracefulness.
+certifies edge-gracefulness.  Divisibility is the mathematical one (m = p*c
+for some integer c), so negative residuals are handled; all arithmetic is
+exact.
 
-For the usual fan on n+1 vertices and 2n-1 edges the condition collapses to
-(7n^2 - 5n)/(2n + 2) being an integer, which is what ``classify_fans``
-screens for.  Divisibility is the mathematical one (m = p*c for some integer
-c), so negative residuals are handled; all arithmetic is exact.
+For the usual fan F_{1,n} (p = n+1, q = 2n-1) the condition says that
+k = (7n^2 - 5n)/(2n + 2) is an integer, i.e. that (n, k) solves the c = 0
+quadratic 7n^2 - 2nk - 5n - 2k = 0.  That equation has finitely many integer
+solutions, which ``classify_fans`` takes from the factor-pair solver, so the
+cost does not depend on the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+
+from .diophantine import QuadraticDiophantine, integer_solutions
+
+FAN_EQUATION = QuadraticDiophantine(7, -2, 0, -5, -2, 0)
 
 
 @dataclass(frozen=True)
@@ -34,20 +40,12 @@ def lo_check(p: int, q: int) -> LoReport:
     return LoReport(p=p, q=q, residual=residual, divides=residual % p == 0)
 
 
-def fan_lo_quotient(n: int) -> Fraction:
-    """The exact rational (7n^2 - 5n)/(2n + 2); integral iff F_{1,n} passes."""
-    if n < 1:
-        raise ValueError(f"fan size must be positive, got {n}")
-    return Fraction(7 * n * n - 5 * n, 2 * n + 2)
-
-
 def classify_fans(n_max: int) -> list[int]:
     """All n in [1, n_max] whose usual fan passes the divisibility screen.
 
-    Uses direct divisibility per n, no labeling search.  The full solution
-    set of the underlying quadratic Diophantine equation is finite, so the
-    answer stabilizes at [2, 3, 11] for every n_max >= 11.
+    Filters the solution set of ``FAN_EQUATION`` to 1 <= x <= n_max; no
+    labeling search.  The answer is [2, 3, 11] for every n_max >= 11.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    return [n for n in range(1, n_max + 1) if (7 * n * n - 5 * n) % (2 * n + 2) == 0]
+    return sorted(x for x, _ in integer_solutions(FAN_EQUATION) if 1 <= x <= n_max)

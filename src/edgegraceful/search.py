@@ -13,12 +13,12 @@ the weight per leaf, mode "all" expands each leaf lazily into its labelings
 (the leaf itself first), and mode "first" returns the first leaf: of all
 valid labelings, the one whose labels read in search order are smallest.
 
-With pruning on, a vertex's residue is finalized the moment its last
-incident edge gets a label; if the residue is already held by another
-finalized vertex the branch cannot lead to a valid labeling and is cut.
-Pruning never removes a valid completion, so prune=True and prune=False
-enumerate the same solution set.  ``nodes_expanded`` counts placements in
-the class tree, not labelings.
+A vertex's residue is finalized the moment its last incident edge gets a
+label; if the residue is already held by another finalized vertex the branch
+cannot lead to a valid labeling and is cut, so every leaf reached is valid.
+Edges are placed in ``completion_order``, which finalizes vertices as early
+as possible.  ``nodes_expanded`` counts placements in the class tree, not
+labelings.
 
 Everything is deterministic: labels are tried in increasing order and the
 edge order is fixed up front, so repeated runs give identical outcomes,
@@ -27,9 +27,6 @@ including the node counter and, in mode "first", the same labeling.
 The recursion goes one Python frame per edge, so ``search`` rejects graphs
 with more edges than the interpreter's recursion limit less ``STACK_MARGIN``
 instead of overflowing.
-
-``exhaustive_exists`` is a deliberately naive oracle (plain permutation
-scan, no pruning, no shared code path) kept for cross-checking the search.
 """
 
 from __future__ import annotations
@@ -43,9 +40,7 @@ from .graphs import Graph
 from .labeling import EdgeLabeling
 
 MODES = ("first", "all", "count")
-EDGE_ORDERS = ("as-given", "completion-heuristic")
 
-ORACLE_MAX_EDGES = 10  # q! blowup guard for exhaustive_exists
 STACK_MARGIN = 200  # frames left for the caller above the one-per-edge recursion
 
 
@@ -60,16 +55,10 @@ class SearchOptions:
 
     mode: str = "first"
     limit: int | None = None
-    edge_order: str = "completion-heuristic"
-    prune: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.edge_order not in EDGE_ORDERS:
-            raise ValueError(
-                f"edge_order must be one of {EDGE_ORDERS}, got {self.edge_order!r}"
-            )
         if self.limit is not None and self.limit < 1:
             raise ValueError(f"limit must be >= 1 when given, got {self.limit}")
 
@@ -138,7 +127,7 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
             f"limited to {max_depth} by the interpreter's recursion limit"
         )
 
-    order = list(range(q)) if opts.edge_order == "as-given" else completion_order(graph)
+    order = completion_order(graph)
     edges = [graph.edges[i] for i in order]
 
     # position at which each vertex sees its last incident edge
@@ -150,8 +139,10 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     for w, pos in last_pos.items():
         completes_at[pos].append(w)
     isolated = [w for w in range(p) if w not in last_pos]
+    # isolated vertices all induce residue 0; two of them collide for good
+    if len(isolated) > 1:
+        return SearchOutcome((), 0, 0, True)
 
-    prune = opts.prune
     target = 1 if opts.mode == "first" else opts.limit
     collect = opts.mode != "count"
     # labelings each leaf stands for: rem classes hold k+1 labels, p-rem hold k
@@ -161,18 +152,12 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     used = [False] * (q + 1)
     sums = [0] * p
     residue_taken = [False] * p
+    residue_taken[0] = bool(isolated)
     level_label = [0] * q
     solutions: list[EdgeLabeling] = []
     count = 0
     nodes = 0
     stopped = False
-
-    if prune:
-        # isolated vertices all induce residue 0; two of them collide for good
-        if len(isolated) > 1:
-            return SearchOutcome((), 0, 0, True)
-        if isolated:
-            residue_taken[0] = True
 
     def leaf_labelings():
         """The leaf's own labeling, then its other within-class permutations."""
@@ -194,10 +179,6 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
 
     def record() -> None:
         nonlocal count, stopped
-        if not prune:
-            residues = [s % p for s in sums]
-            if len(set(residues)) != p:
-                return
         if collect:
             for labels in leaf_labelings():
                 count += 1
@@ -225,14 +206,13 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
             nodes += 1
             ok = True
             finalized: list[int] = []
-            if prune:
-                for w in completes_at[pos]:
-                    r = sums[w] % p
-                    if residue_taken[r]:
-                        ok = False
-                        break
-                    residue_taken[r] = True
-                    finalized.append(r)
+            for w in completes_at[pos]:
+                r = sums[w] % p
+                if residue_taken[r]:
+                    ok = False
+                    break
+                residue_taken[r] = True
+                finalized.append(r)
             if ok:
                 if last:
                     record()
@@ -253,34 +233,3 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
         nodes_expanded=nodes,
         exhausted=not stopped,
     )
-
-
-def exhaustive_exists(graph: Graph) -> bool:
-    """Brute-force existence oracle over all q! label permutations.
-
-    No pruning and no shared machinery with ``search``; guarded at
-    q <= ORACLE_MAX_EDGES because the scan is factorial.
-    """
-    q = graph.q
-    if q > ORACLE_MAX_EDGES:
-        raise ValueError(f"oracle limited to q <= {ORACLE_MAX_EDGES}, got q = {q}")
-    p = graph.p
-    if p == 0:
-        return True
-    edges = graph.edges
-    seen = [0] * p
-    stamp = 0
-    for perm in itertools.permutations(range(1, q + 1)):
-        sums = [0] * p
-        for (u, v), lab in zip(edges, perm):
-            sums[u] += lab
-            sums[v] += lab
-        stamp += 1
-        for s in sums:
-            r = s % p
-            if seen[r] == stamp:
-                break
-            seen[r] = stamp
-        else:
-            return True
-    return False

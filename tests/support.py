@@ -1,13 +1,23 @@
-"""Shared test helpers: independent residue oracle, random graphs, corpus."""
+"""Shared test helpers: independent oracles, random graphs, corpus."""
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
+from pathlib import Path
 
 from edgegraceful import Graph, cycle, fan, make_graph, path
 
 CORPUS_SEED = 20250810
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict[str, str]:
+    """The current environment with the package source first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 def residues_oracle(p: int, edges, labels) -> list[int]:
@@ -31,6 +41,11 @@ def all_graceful_oracle(graph: Graph) -> set[tuple[int, ...]]:
 def count_graceful_oracle(graph: Graph) -> int:
     """Count valid labelings by scanning every permutation (q <= 8 intended)."""
     return len(all_graceful_oracle(graph))
+
+
+def fan_scan_oracle(n_max: int) -> list[int]:
+    """Every n <= n_max with (7n^2 - 5n)/(2n + 2) integral, by direct scan."""
+    return [n for n in range(1, n_max + 1) if (7 * n * n - 5 * n) % (2 * n + 2) == 0]
 
 
 def random_simple_graph(rng: random.Random, max_p: int = 7, max_q: int = 8) -> Graph:

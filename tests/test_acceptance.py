@@ -21,7 +21,6 @@ from edgegraceful import (
     QuadraticDiophantine,
     SearchOptions,
     classify_fans,
-    exhaustive_exists,
     fan,
     induce,
     integer_solutions,
@@ -37,7 +36,7 @@ from fan_trace_reference import (
     EXPECTED_FAN_TRACE,
     matches_printed,
 )
-from support import random_simple_graph, small_corpus
+from support import all_graceful_oracle, random_simple_graph, small_corpus
 
 FAN_EQ = QuadraticDiophantine(7, -2, 0, -5, -2, 0)
 
@@ -106,7 +105,7 @@ def test_c3_witness_construction_timings():
     assert verify(out3.solutions[0]).edge_graceful
     assert t3 < 0.010, f"fan(1,3) took {t3*1000:.3f}ms"
 
-    out11, t11 = timed(search, fan(1, 11), SearchOptions(mode="first", prune=True))
+    out11, t11 = timed(search, fan(1, 11), SearchOptions(mode="first"))
     assert out11.solution_count == 1
     assert verify(out11.solutions[0]).edge_graceful
     assert t11 < 60.0, f"fan(1,11) took {t11:.2f}s"
@@ -147,14 +146,13 @@ def test_c6_oracle_equivalence_over_corpus():
     corpus = small_corpus(n_random=50)
     assert len(corpus) == 68
     for g in corpus:
-        pruned = search(g, SearchOptions(mode="all", prune=True))
-        plain = search(g, SearchOptions(mode="all", prune=False))
-        exists = exhaustive_exists(g)
-        assert pruned.solution_count == plain.solution_count, (g.p, g.edges)
-        assert {s.labels for s in pruned.solutions} == {s.labels for s in plain.solutions}
-        assert (pruned.solution_count > 0) == exists, (g.p, g.edges)
-    report(6, f"search (both prune modes) and the permutation oracle agree "
-              f"on all {len(corpus)} corpus graphs")
+        expected = all_graceful_oracle(g)
+        found = search(g, SearchOptions(mode="all"))
+        assert {s.labels for s in found.solutions} == expected, (g.p, g.edges)
+        counted = search(g, SearchOptions(mode="count"))
+        assert counted.solution_count == len(expected), (g.p, g.edges)
+    report(6, f"search solution sets (all mode) and totals (count mode) equal "
+              f"the permutation oracle's on all {len(corpus)} corpus graphs")
 
 
 def test_c7_diophantine_soundness_and_desk_scale_completeness():

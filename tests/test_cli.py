@@ -2,10 +2,8 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -16,6 +14,29 @@ from edgegraceful.cli import (
     labeling_from_doc,
     labeling_to_doc,
     main,
+)
+from support import src_env
+
+CLI = [sys.executable, "-m", "edgegraceful"]
+TRIANGLE_EDGES = [[0, 1], [1, 2], [2, 0]]
+# JSON values that int() would accept or choke on, each where an integer belongs
+NON_INTEGER_GRAPHS = {
+    "float_p": {"p": 3.9, "edges": TRIANGLE_EDGES},
+    "bool_endpoint": {"p": 3, "edges": [[True, 2], [0, 1], [2, 0]]},
+    "null_endpoint": {"p": 3, "edges": [[None, 1], [1, 2], [2, 0]]},
+    "list_p": {"p": [1], "edges": []},
+}
+NON_INTEGER_LABELINGS = {
+    "string_and_float_labels": {"graph": {"p": 3, "edges": TRIANGLE_EDGES},
+                                "labels": ["1", 2.7, 3]},
+    "null_label": {"graph": {"p": 3, "edges": TRIANGLE_EDGES}, "labels": [1, None, 3]},
+}
+NON_INTEGER_CASES = (
+    [("lo", name, doc) for name, doc in NON_INTEGER_GRAPHS.items()]
+    + [("search", name, doc) for name, doc in NON_INTEGER_GRAPHS.items()]
+    + [("verify", name, {"graph": doc, "labels": [1, 2, 3]})
+       for name, doc in NON_INTEGER_GRAPHS.items()]
+    + [("verify", name, doc) for name, doc in NON_INTEGER_LABELINGS.items()]
 )
 
 
@@ -45,6 +66,15 @@ class TestDocuments:
         gpath.write_text(json.dumps(graph_to_doc(g)))
         doc = {"graph": str(gpath), "labels": [1, 2, 3]}
         assert labeling_from_doc(doc) == EdgeLabeling(g, (1, 2, 3))
+
+    @pytest.mark.parametrize("command, name, doc", NON_INTEGER_CASES,
+                             ids=[f"{c}-{n}" for c, n, _ in NON_INTEGER_CASES])
+    def test_non_integer_fields_exit_2(self, capsys, monkeypatch, command, name, doc):
+        code, out, err = run_with_stdin(capsys, monkeypatch, json.dumps(doc), command, "-")
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_rejects_missing_fields(self):
         with pytest.raises(ValueError):
@@ -112,6 +142,11 @@ class TestLo:
     def test_invalid_json(self, capsys, monkeypatch):
         code, _, _ = run_with_stdin(capsys, monkeypatch, "p=2 edges", "lo", "-")
         assert code == 2
+
+    def test_deeply_nested_json(self, capsys, monkeypatch):
+        code, _, err = run_with_stdin(capsys, monkeypatch, "[" * 100_000, "lo", "-")
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestDioph:
@@ -209,12 +244,11 @@ class TestSearch:
         assert out.startswith("graph {")
         assert "--" in out and "[label=" in out
 
-    def test_no_prune_flag(self, capsys, monkeypatch):
-        code, out, _ = run_with_stdin(
-            capsys, monkeypatch, self.graph_doc(fan(1, 2)), "search", "-",
-            "--mode", "count", "--no-prune",
-        )
-        assert out.strip() == "solutions = 6"
+    def test_no_prune_flag(self, capsys):
+        # the collision cut is always on; the flag is unknown to the parser
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "-", "--mode", "count", "--no-prune"])
+        assert exc.value.code == 2
 
     def test_malformed_input(self, capsys, monkeypatch):
         code, _, _ = run_with_stdin(capsys, monkeypatch, "{}", "search", "-")
@@ -278,9 +312,10 @@ class TestVerify:
 
 class TestClassifyFans:
     def test_max_1000(self, capsys):
-        code, out, _ = run(capsys, "classify-fans", "--max", "1000")
-        assert code == 0
-        assert "2 3 11" in out
+        for n_max in ("1000", "1000000000000"):
+            code, out, _ = run(capsys, "classify-fans", "--max", n_max, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["passing"] == [2, 3, 11]
 
     def test_max_1_empty(self, capsys):
         code, out, _ = run(capsys, "classify-fans", "--max", "1")
@@ -322,15 +357,30 @@ class TestPipeline:
 
     def test_search_deeper_than_recursion_limit_exits_2(self):
         # a traceback here would also exit 1, the "definitive no" code
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        cli = [sys.executable, "-m", "edgegraceful"]
-        gen = subprocess.run(cli + ["gen", "path", "--n", "1501"], capture_output=True,
+        env = src_env()
+        gen = subprocess.run(CLI + ["gen", "path", "--n", "1501"], capture_output=True,
                              text=True, env=env, timeout=60, check=True)
-        proc = subprocess.run(cli + ["search", "-"], input=gen.stdout,
+        proc = subprocess.run(CLI + ["search", "-"], input=gen.stdout,
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("n, head", [(200_000, 10), (3, 0)],
+                             ids=["in-print", "in-final-flush"])
+    def test_closed_output_pipe_exits_2_quietly(self, n, head):
+        # 3 MB fails inside print, as in `gen | head -c 10`; a few bytes stay
+        # buffered until the flush at exit, long after the reader is gone
+        env = src_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(CLI + ["gen", "path", "--n", str(n)], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert len(proc.stdout.read(head)) == head
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 2
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()

@@ -4,13 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from edgegraceful import (
-    QuadraticDiophantine,
-    classify_fans,
-    fan_lo_quotient,
-    integer_solutions,
-    lo_check,
-)
+from edgegraceful import classify_fans, fan, lo_check
+from support import fan_scan_oracle
 
 
 class TestLoCheck:
@@ -64,21 +59,27 @@ class TestLoCheck:
 
 
 class TestFanQuotient:
+    """For F_{1,n} the screen's quotient residual/p is (7n^2 - 5n)/(2n + 2)."""
+
     @pytest.mark.parametrize(
         "n,expected",
         [(11, Fraction(33)), (2, Fraction(3)), (4, Fraction(46, 5)), (1, Fraction(1, 2))],
     )
     def test_values(self, n, expected):
-        assert fan_lo_quotient(n) == expected
+        report = lo_check(n + 1, 2 * n - 1)
+        assert Fraction(report.residual, report.p) == expected
 
     def test_rejects_nonpositive(self):
+        # n = 0 names no fan, and its q = 2n - 1 = -1 is not an edge count
         with pytest.raises(ValueError):
-            fan_lo_quotient(0)
+            fan(1, 0)
+        with pytest.raises(ValueError):
+            lo_check(1, -1)
 
     def test_agrees_with_divisibility_screen(self):
+        passing = set(fan_scan_oracle(10_000))
         for n in range(1, 10_001):
-            integral = fan_lo_quotient(n).denominator == 1
-            assert integral == lo_check(n + 1, 2 * n - 1).divides
+            assert (n in passing) == lo_check(n + 1, 2 * n - 1).divides
 
 
 class TestClassifyFans:
@@ -96,10 +97,11 @@ class TestClassifyFans:
         with pytest.raises(ValueError):
             classify_fans(0)
 
-    def test_no_solutions_past_11_up_to_100k(self):
-        assert classify_fans(100_000) == [2, 3, 11]
+    @pytest.mark.parametrize("n_max", [10**5, 10**18], ids=["1e5", "1e18"])
+    def test_no_solutions_past_11(self, n_max):
+        assert classify_fans(n_max) == [2, 3, 11]
 
     def test_agrees_with_diophantine_solution_set(self):
-        eq = QuadraticDiophantine(7, -2, 0, -5, -2, 0)
-        from_equation = sorted(x for x, _ in integer_solutions(eq) if 1 <= x <= 50)
-        assert classify_fans(50) == from_equation
+        # classify_fans reads the Diophantine solution set; the scan is independent
+        for n_max in (50, 100_000):
+            assert classify_fans(n_max) == fan_scan_oracle(n_max)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import sys
 
 import pytest
@@ -9,7 +10,6 @@ from edgegraceful import (
     SearchOptions,
     completion_order,
     cycle,
-    exhaustive_exists,
     fan,
     lo_check,
     make_graph,
@@ -40,15 +40,16 @@ class TestOptions:
     def test_defaults(self):
         opts = SearchOptions()
         assert opts.mode == "first"
-        assert opts.prune
+        assert opts.limit is None
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             SearchOptions(mode="some")
 
     def test_rejects_unknown_edge_order(self):
-        with pytest.raises(ValueError, match="edge_order"):
-            SearchOptions(edge_order="random")
+        # completion_order is the only edge order; there is no field to set
+        with pytest.raises(TypeError, match="edge_order"):
+            SearchOptions(edge_order="as-given")
 
     def test_rejects_zero_limit(self):
         with pytest.raises(ValueError, match="limit"):
@@ -86,7 +87,7 @@ class TestSearchFirst:
         assert out.exhausted
 
     def test_fan_11_with_pruning(self):
-        out = search(fan(1, 11), SearchOptions(mode="first", prune=True))
+        out = search(fan(1, 11), SearchOptions(mode="first"))
         assert out.solution_count == 1
         assert verify(out.solutions[0]).edge_graceful
 
@@ -114,9 +115,8 @@ class TestSearchAllAndCount:
     def test_fan_3_count_matches_oracle(self):
         expected = count_graceful_oracle(fan(1, 3))
         assert expected == 32
-        for prune in (True, False):
-            out = search(fan(1, 3), SearchOptions(mode="all", prune=prune))
-            assert out.solution_count == 32
+        out = search(fan(1, 3), SearchOptions(mode="all"))
+        assert out.solution_count == 32
 
     def test_limit_caps_collection(self):
         out = search(fan(1, 2), SearchOptions(mode="all", limit=2))
@@ -137,20 +137,19 @@ class TestSearchAllAndCount:
 
 
 class TestPruningSoundness:
+    """Pruning removes no valid labeling: the kernel's all-mode set equals the
+    set found by scanning every permutation, and its tree is no larger than
+    the unpruned tree that places every unused label at every level."""
+
     @pytest.mark.parametrize("build", [lambda: fan(1, 3), lambda: cycle(5), lambda: path(5)])
     def test_same_solution_set_with_and_without_pruning(self, build):
         g = build()
-        pruned = search(g, SearchOptions(mode="all", prune=True))
-        plain = search(g, SearchOptions(mode="all", prune=False))
-        assert solution_set(pruned) == solution_set(plain)
-        assert pruned.solution_count == plain.solution_count
-        assert pruned.nodes_expanded <= plain.nodes_expanded
-
-    def test_edge_orders_agree_on_counts(self):
-        g = fan(1, 3)
-        heuristic = search(g, SearchOptions(mode="all", edge_order="completion-heuristic"))
-        given = search(g, SearchOptions(mode="all", edge_order="as-given"))
-        assert solution_set(heuristic) == solution_set(given)
+        pruned = search(g, SearchOptions(mode="all"))
+        plain = all_graceful_oracle(g)
+        assert solution_set(pruned) == plain
+        assert pruned.solution_count == len(plain)
+        unpruned_nodes = sum(math.perm(g.q, k) for k in range(1, g.q + 1))
+        assert pruned.nodes_expanded <= unpruned_nodes
 
 
 class TestResidueClassSearch:
@@ -208,11 +207,9 @@ class TestDegenerateInputs:
 
     def test_isolated_vertices_collide(self):
         # one edge plus two isolated vertices: residues 0 repeat, no labeling
-        g = make_graph(4, [(0, 1)])
-        for prune in (True, False):
-            out = search(g, SearchOptions(mode="all", prune=prune))
-            assert out.solution_count == 0
-            assert out.exhausted
+        out = search(make_graph(4, [(0, 1)]), SearchOptions(mode="all"))
+        assert out.solution_count == 0
+        assert out.exhausted
 
     def test_depth_beyond_recursion_limit_rejected(self):
         # odd paths are labeled 1..q in order, so q levels are reached at once
@@ -225,19 +222,15 @@ class TestDegenerateInputs:
 
 class TestExhaustiveOracle:
     def test_small_fans(self):
-        assert exhaustive_exists(fan(1, 2))
-        assert not exhaustive_exists(fan(1, 1))
-        assert not exhaustive_exists(fan(1, 4))
+        assert all_graceful_oracle(fan(1, 2))
+        assert not all_graceful_oracle(fan(1, 1))
+        assert not all_graceful_oracle(fan(1, 4))
 
     def test_single_edge(self):
-        assert not exhaustive_exists(path(2))
+        assert not all_graceful_oracle(path(2))
 
     def test_cycle5(self):
-        assert exhaustive_exists(cycle(5))
-
-    def test_guard(self):
-        with pytest.raises(ValueError, match="q <= 10"):
-            exhaustive_exists(fan(1, 6))  # q = 11
+        assert all_graceful_oracle(cycle(5))
 
 
 class TestOracleEquivalenceSubset:
@@ -246,11 +239,9 @@ class TestOracleEquivalenceSubset:
         for g in small_corpus(n_random=8):
             if g.q > 6:
                 continue
-            pruned = search(g, SearchOptions(mode="all", prune=True))
-            plain = search(g, SearchOptions(mode="all", prune=False))
-            assert solution_set(pruned) == solution_set(plain)
-            assert (pruned.solution_count > 0) == exhaustive_exists(g)
-            for sol in pruned.solutions:
+            out = search(g, SearchOptions(mode="all"))
+            assert solution_set(out) == all_graceful_oracle(g)
+            for sol in out.solutions:
                 assert verify(sol).edge_graceful
 
     def test_found_labelings_pass_divisibility_screen(self):
