@@ -4,26 +4,39 @@ Generators for fans, cycles and paths; the induced-residue labeling test;
 the necessary divisibility screen; an exact factor-pair solver for the
 associated quadratic Diophantine equations; and a pruned backtracking search
 that constructs or exhaustively refutes labelings.
+
+The screen (``lo``) and the solver (``diophantine``) are imported on first
+use of one of their names, so a program that only generates, searches or
+verifies does not compile them.
 """
 
-from .diophantine import (
-    FactorPairRow,
-    QuadraticDiophantine,
-    ReducedForm,
-    back_substitute,
-    format_rational,
-    integer_solutions,
-    positive_divisors,
-    reduce,
-    solve_factor_pairs,
-)
-from .graphs import Graph, cycle, fan, make_graph, path
+import importlib
+
+from .graphs import Graph, cycle, edge_orbits, fan, make_graph, path
 from .labeling import EdgeLabeling, InducedLabels, Verdict, induce, verify
-from .lo import LoReport, classify_fans, lo_check
 from .search import SearchOptions, SearchOutcome, completion_order, search
 
+_LAZY = {
+    **dict.fromkeys(("LoReport", "lo_check", "classify_fans"), "lo"),
+    **dict.fromkeys(
+        ("QuadraticDiophantine", "ReducedForm", "FactorPairRow", "reduce",
+         "solve_factor_pairs", "back_substitute", "integer_solutions",
+         "positive_divisors", "format_rational"),
+        "diophantine",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
 __all__ = [
-    "Graph", "make_graph", "fan", "cycle", "path",
+    "Graph", "make_graph", "fan", "cycle", "path", "edge_orbits",
     "EdgeLabeling", "InducedLabels", "Verdict", "induce", "verify",
     "LoReport", "lo_check", "classify_fans",
     "QuadraticDiophantine", "ReducedForm", "FactorPairRow",

@@ -34,6 +34,9 @@ from .search import SearchOptions, search
 
 OK, NO, USAGE = 0, 1, 2
 
+# verify builds and prints one residue per vertex, so its documents are capped
+MAX_VERIFY_VERTICES = 10**6
+
 
 # ---------------------------------------------------------------------------
 # interchange documents
@@ -78,6 +81,11 @@ def labeling_from_doc(doc) -> EdgeLabeling:
         with open(graph_field, encoding="utf-8") as fh:
             graph_field = json.load(fh)
     graph = graph_from_doc(graph_field)
+    if graph.p > MAX_VERIFY_VERTICES:
+        raise ValueError(
+            f"labeling documents are limited to {MAX_VERIFY_VERTICES} vertices, "
+            f"got {graph.p}"
+        )
     labels = doc["labels"]
     if not isinstance(labels, list):
         raise ValueError("'labels' must be an integer array")

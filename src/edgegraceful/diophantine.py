@@ -115,20 +115,114 @@ def back_substitute(X: Rational, Y: Rational, form: ReducedForm) -> tuple[int, i
     return int(x), int(y)
 
 
+# Miller-Rabin on the primes 2..41 as bases has no strong pseudoprime below
+# MR_EXACT_BELOW (Sorenson and Webster, 2015), so it is a primality proof there
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+TRIAL_LIMIT = 1000  # trial division by 2, 3 and 6k +- 1 below this first
+RHO_STEP_LIMIT = 1 << 20  # Pollard-Brent iterations allowed per cofactor
+_TRIAL_DIVISORS = (2, 3) + tuple(t + d for t in range(6, TRIAL_LIMIT, 6) for d in (-1, 1))
+
+
 def positive_divisors(n: int) -> list[int]:
-    """Ascending positive divisors of |n| by trial division; n must be nonzero."""
+    """Ascending positive divisors of |n|, built from its prime factorization.
+
+    n must be nonzero.  Raises ValueError when a cofactor of |n| can be
+    neither split nor proved prime: a probable prime of at least
+    ``MR_EXACT_BELOW``, or a composite whose factors Pollard-Brent does not
+    find within ``RHO_STEP_LIMIT`` iterations.
+    """
     if n == 0:
         raise ValueError("zero has no finite divisor list")
-    n = abs(n)
-    small, large = [], []
-    t = 1
-    while t * t <= n:
-        if n % t == 0:
-            small.append(t)
-            if t != n // t:
-                large.append(n // t)
-        t += 1
-    return small + large[::-1]
+    divisors = [1]
+    for prime, exponent in _factorize(abs(n)).items():
+        divisors = [d * prime**e for d in divisors for e in range(exponent + 1)]
+    return sorted(divisors)
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 as {prime: exponent}."""
+    factors: dict[int, int] = {}
+    for t in _TRIAL_DIVISORS:
+        if t * t > n:
+            break
+        while n % t == 0:
+            factors[t] = factors.get(t, 0) + 1
+            n //= t
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < TRIAL_LIMIT * TRIAL_LIMIT or _is_probable_prime(m):
+            # m has no factor below TRIAL_LIMIT (or below its square root,
+            # where trial division stopped early), so small m is prime
+            if m >= MR_EXACT_BELOW:
+                raise ValueError(
+                    f"cannot certify that the cofactor {m} of N is prime (Miller-Rabin "
+                    f"on bases 2..41 is exact only below {MR_EXACT_BELOW})"
+                )
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        d = _pollard_brent(m)
+        pending += [d, m // d]
+    return factors
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin on ``MR_BASES`` for odd n > 41; exact below ``MR_EXACT_BELOW``."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A factor 1 < d < n of the odd composite n, by Brent's variant of rho.
+
+    Tries the maps y -> y^2 + c for c = 1, 2, ... until one splits n, and
+    raises ValueError after ``RHO_STEP_LIMIT`` iterations in all.  The
+    differences are multiplied up and tested with one gcd per batch of 128.
+    """
+    steps = 0
+    c = 0
+    while steps < RHO_STEP_LIMIT:
+        c += 1
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1 and steps < RHO_STEP_LIMIT:
+            x = y  # compared with the next r points of the sequence
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = math.gcd(prod, n)
+                k += 128
+            steps += 2 * r
+            r *= 2
+        if g == n:
+            # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(x - saved, n)
+        if 1 < g < n:
+            return g
+    raise ValueError(
+        f"no factor of {n} found in {RHO_STEP_LIMIT} Pollard-Brent iterations"
+    )
 
 
 def _ordered_factor_pairs(N: int) -> list[tuple[int, int]]:

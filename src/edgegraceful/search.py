@@ -20,6 +20,18 @@ Edges are placed in ``completion_order``, which finalizes vertices as early
 as possible.  ``nodes_expanded`` counts placements in the class tree, not
 labelings.
 
+Mode "count" also breaks the graph's symmetry when q < 2p.  Then the label
+L = max(q - p, 0) + 1 is the only one in its residue class, so no
+within-class permutation moves it, and an automorphism that maps edge e to
+e' maps the labelings with L on e one-to-one onto those with L on e'.  The
+search puts L only on the first-placed edge of each orbit that
+``edge_orbits`` reports, forces it onto the last such edge if it is still
+unused there, and weights each leaf by the size of the orbit that holds L.
+In mode "count", ``nodes_expanded`` therefore counts placements in the class
+tree after symmetry reduction.  Modes "first" and "all" search the plain
+class tree, so their witnesses, their order and their node counts do not
+depend on the graph's automorphisms.
+
 Everything is deterministic: labels are tried in increasing order and the
 edge order is fixed up front, so repeated runs give identical outcomes,
 including the node counter and, in mode "first", the same labeling.
@@ -33,10 +45,11 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
-from .graphs import Graph
+from .graphs import Graph, edge_orbits
 from .labeling import EdgeLabeling
 
 MODES = ("first", "all", "count")
@@ -127,6 +140,12 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
             f"limited to {max_depth} by the interpreter's recursion limit"
         )
 
+    # isolated vertices all induce residue 0; two of them collide for good.
+    # Checked before anything of size p is built, so p may be any size.
+    isolated = p - len({w for edge in graph.edges for w in edge})
+    if isolated > 1:
+        return SearchOutcome((), 0, 0, True)
+
     order = completion_order(graph)
     edges = [graph.edges[i] for i in order]
 
@@ -138,16 +157,31 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     completes_at: list[list[int]] = [[] for _ in range(q)]
     for w, pos in last_pos.items():
         completes_at[pos].append(w)
-    isolated = [w for w in range(p) if w not in last_pos]
-    # isolated vertices all induce residue 0; two of them collide for good
-    if len(isolated) > 1:
-        return SearchOutcome((), 0, 0, True)
 
     target = 1 if opts.mode == "first" else opts.limit
     collect = opts.mode != "count"
     # labelings each leaf stands for: rem classes hold k+1 labels, p-rem hold k
     k, rem = divmod(q, p)
     weight = factorial(k + 1) ** rem * factorial(k) ** (p - rem)
+
+    all_labels = tuple(range(1, q + 1))
+    labels_at = [all_labels] * q  # the labels each position tries
+    sym_label, forced_pos, orbit_size_at = 0, -1, []  # 0: no symmetry breaking
+    if not collect and q < 2 * p:
+        # symmetry breaking (module docstring): sym_label, alone in its class,
+        # goes on each orbit's first-placed edge only
+        sym_label = max(q - p, 0) + 1
+        orbit = edge_orbits(graph)
+        orbit_size = Counter(orbit)
+        rep_pos: dict[int, int] = {}
+        for pos, i in enumerate(order):
+            rep_pos.setdefault(orbit[i], pos)
+        forced_pos = max(rep_pos.values())
+        without_sym = tuple(lab for lab in all_labels if lab != sym_label)
+        labels_at = [without_sym] * q
+        for pos in rep_pos.values():
+            labels_at[pos] = all_labels
+        orbit_size_at = [orbit_size[orbit[i]] for i in order]
 
     used = [False] * (q + 1)
     sums = [0] * p
@@ -185,6 +219,8 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
                 solutions.append(EdgeLabeling(graph, labels))
                 if count == target:
                     break
+        elif sym_label:
+            count += weight * orbit_size_at[level_label.index(sym_label)]
         else:
             count += weight
         if target is not None and count >= target:
@@ -195,7 +231,10 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
         nonlocal nodes
         u, v = edges[pos]
         last = pos + 1 == q
-        for lab in range(1, q + 1):
+        labels = labels_at[pos]
+        if pos == forced_pos and not used[sym_label]:
+            labels = (sym_label,)  # the last representative: nowhere else is left
+        for lab in labels:
             # only the smallest unused label of each residue class
             if used[lab] or (lab > p and not used[lab - p]):
                 continue

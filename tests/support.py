@@ -43,6 +43,38 @@ def count_graceful_oracle(graph: Graph) -> int:
     return len(all_graceful_oracle(graph))
 
 
+def automorphism_edge_orbits(graph: Graph) -> set[frozenset[int]]:
+    """Edge orbits under every automorphism networkx's GraphMatcher enumerates."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(graph.p))
+    nxg.add_edges_from(graph.edges)
+    index = {frozenset(e): i for i, e in enumerate(graph.edges)}
+    orbit_of = [{i} for i in range(graph.q)]
+    for auto in GraphMatcher(nxg, nxg).isomorphisms_iter():
+        for i, (u, v) in enumerate(graph.edges):
+            orbit_of[i].add(index[frozenset((auto[u], auto[v]))])
+    return {frozenset(orbit) for orbit in orbit_of}
+
+
+def divisors_oracle(n: int) -> list[int]:
+    """Ascending positive divisors of |n| by trial division up to sqrt|n|."""
+    if n == 0:
+        raise ValueError("zero has no finite divisor list")
+    n = abs(n)
+    small, large = [], []
+    t = 1
+    while t * t <= n:
+        if n % t == 0:
+            small.append(t)
+            if t != n // t:
+                large.append(n // t)
+        t += 1
+    return small + large[::-1]
+
+
 def fan_scan_oracle(n_max: int) -> list[int]:
     """Every n <= n_max with (7n^2 - 5n)/(2n + 2) integral, by direct scan."""
     return [n for n in range(1, n_max + 1) if (7 * n * n - 5 * n) % (2 * n + 2) == 0]
@@ -57,6 +89,16 @@ def random_simple_graph(rng: random.Random, max_p: int = 7, max_q: int = 8) -> G
         edges = rng.sample(all_pairs, q)
         rng.shuffle(edges)
         return make_graph(p, edges)
+
+
+def shuffled_copy(graph: Graph, rng: random.Random) -> Graph:
+    """An isomorphic copy: vertices relabelled, endpoints and edges reordered."""
+    perm = list(range(graph.p))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+             for u, v in graph.edges]
+    rng.shuffle(edges)
+    return make_graph(graph.p, edges)
 
 
 def small_corpus(n_random: int = 50) -> list[Graph]:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgegraceful import EdgeLabeling, fan, make_graph, verify
 from edgegraceful.cli import (
@@ -207,6 +210,24 @@ class TestDioph:
         assert len(doc["solutions"]) == 8
 
 
+    def test_large_n_factors_fast(self, capsys):
+        # N = 4 * 10**15; x(x + y) = -f has one solution per signed divisor x of f
+        f = 10**15
+        code, out, _ = run(capsys, "dioph", "1", "1", "0", "0", "0", str(f), "--format", "json")
+        assert code == 0
+        divisors = [2**a * 5**b for a in range(16) for b in range(16)]
+        expected = sorted((x, -f // x - x) for d in divisors for x in (d, -d))
+        assert [tuple(s) for s in json.loads(out)["solutions"]] == expected
+
+    def test_uncertifiable_cofactor_exits_2(self, capsys):
+        # N = 4 * 3317044064679887385961981 (the first prime past the bound
+        # below which Miller-Rabin on bases 2..41 is a proof)
+        code, _, err = run(capsys, "dioph", "1", "1", "0", "0", "0",
+                           "3317044064679887385962123")
+        assert code == 2
+        assert "certify" in err
+
+
 class TestSearch:
     def graph_doc(self, g):
         return json.dumps(graph_to_doc(g))
@@ -384,3 +405,99 @@ class TestPipeline:
         finally:
             proc.kill()
             proc.stderr.close()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the document commands
+# ---------------------------------------------------------------------------
+
+big_int = st.sampled_from([10**6 + 1, 2**63, 10**30, -(10**30)])
+junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), big_int,
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
+)
+
+
+@st.composite
+def valid_graph_docs(draw):
+    p = draw(st.integers(1, 7))
+    pairs = [[u, v] for u in range(p) for v in range(u + 1, p)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=8, unique_by=tuple)) if pairs else []
+    # a huge p keeps the document valid: the extra vertices are isolated
+    p = draw(st.one_of(st.just(p), st.just(p), big_int.filter(lambda n: n > 0)))
+    return {"p": p, "edges": [e[::-1] if draw(st.booleans()) else e for e in edges]}
+
+
+@st.composite
+def mutated(draw, docs, keys):
+    """A document with one field dropped or replaced by junk, or left intact."""
+    doc = dict(draw(docs))
+    key = draw(st.sampled_from(keys))
+    action = draw(st.sampled_from(["keep", "drop", "junk"]))
+    if action == "drop":
+        doc.pop(key, None)
+    elif action == "junk":
+        doc[key] = draw(junk)
+    return doc
+
+
+graph_docs = st.one_of(
+    valid_graph_docs(),
+    mutated(valid_graph_docs(), ["p", "edges"]),
+    st.fixed_dictionaries({"p": st.one_of(st.integers(-2, 9), big_int),
+                           "edges": st.lists(st.lists(st.one_of(st.integers(-1, 9), junk),
+                                                      min_size=1, max_size=3), max_size=5)}),
+    junk,
+)
+
+
+@st.composite
+def labeling_docs(draw):
+    graph = draw(st.one_of(valid_graph_docs(), graph_docs, st.text(max_size=4)))
+    q = len(graph["edges"]) if isinstance(graph, dict) and isinstance(graph.get("edges"), list) else 3
+    labels = draw(st.one_of(st.permutations(list(range(1, q + 1))),
+                            st.lists(st.one_of(st.integers(-1, q + 1), junk), max_size=q + 1),
+                            junk))
+    return draw(st.one_of(st.just({"graph": graph, "labels": labels}),
+                          mutated(st.just({"graph": graph, "labels": labels}), ["graph", "labels"])))
+
+
+def document_text(doc_strategy):
+    return st.one_of(doc_strategy.map(json.dumps), st.text(max_size=12),
+                     doc_strategy.map(lambda d: json.dumps(d)[:-1]))
+
+
+fuzz_cases = st.one_of(
+    st.tuples(st.just(["lo", "-"]), document_text(graph_docs)),
+    st.tuples(st.sampled_from([["lo", "-", "--format", "json"], ["lo", "--p", "5"]]),
+              document_text(graph_docs)),
+    st.tuples(st.tuples(st.just("search"), st.just("-"), st.just("--mode"),
+                        st.sampled_from(["first", "all", "count"]),
+                        st.sampled_from(["--limit=1", "--limit=3", "--limit=0", "--limit=-2",
+                                         "--format=dot", "--format=labels"])).map(list),
+              document_text(graph_docs)),
+    st.tuples(st.sampled_from([["verify", "-"], ["verify", "-", "--format", "json"]]),
+              document_text(labeling_docs())),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(fuzz_cases)
+    def test_documents_keep_the_exit_code_contract(self, case):
+        argv, text = case
+        out, err = io.StringIO(), io.StringIO()
+        stdin = sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the command line
+                    code = exc.code
+        finally:
+            sys.stdin = stdin
+        assert code in (0, 1, 2), (argv, text, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgegraceful import (
@@ -16,6 +19,8 @@ from edgegraceful import (
     reduce,
     solve_factor_pairs,
 )
+from edgegraceful import diophantine
+from support import divisors_oracle, src_env
 from fan_trace_reference import (
     EXPECTED_FAN_SOLUTIONS,
     EXPECTED_FAN_TRACE,
@@ -237,3 +242,56 @@ class TestHelpers:
     )
     def test_format_rational(self, value, text):
         assert format_rational(value) == text
+
+
+class TestPositiveDivisors:
+    """Divisors built from a Pollard-Brent factorization, against trial
+    division and against sympy."""
+
+    def test_matches_trial_division_up_to_1e5(self):
+        for n in range(1, 100_001):
+            assert positive_divisors(n) == divisors_oracle(n), n
+        for n in (-1, -2, -360, -99_991):
+            assert positive_divisors(n) == divisors_oracle(n)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 10**20))
+    def test_matches_sympy_up_to_1e20(self, n):
+        assert positive_divisors(n) == sympy.divisors(n)
+
+    @pytest.mark.parametrize("n", [
+        997 * 997, 1009 * 1009, 991 * 997 * 1009, 4 * 10**13 + 3, 4 * 10**15,
+        999_999_937 * 999_999_929, 999_999_937**2,
+        (2**31 - 1) * (2**61 - 1), sympy.prevprime(diophantine.MR_EXACT_BELOW),
+        # strong pseudoprimes to the bases 2, 3, 5; to 2..23; and to 2..37
+        25_326_001, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+    ])
+    def test_hard_cases_match_sympy(self, n):
+        assert positive_divisors(n) == sympy.divisors(n)
+
+    def test_uncertifiable_prime_cofactor_raises(self):
+        prime = sympy.nextprime(diophantine.MR_EXACT_BELOW)
+        with pytest.raises(ValueError, match="certify"):
+            positive_divisors(12 * prime)
+
+    def test_unsplit_composite_raises(self, monkeypatch):
+        monkeypatch.setattr(diophantine, "RHO_STEP_LIMIT", 64)
+        with pytest.raises(ValueError, match="Pollard-Brent"):
+            positive_divisors(999_983 * 1_000_003)
+
+
+class TestLazyImport:
+    def test_package_import_defers_solver_and_screen(self):
+        code = ("import sys, edgegraceful as eg; "
+                "assert 'edgegraceful.diophantine' not in sys.modules; "
+                "assert 'edgegraceful.lo' not in sys.modules; "
+                "assert eg.classify_fans(20) == [2, 3, 11]; "
+                "assert 'edgegraceful.diophantine' in sys.modules")
+        subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
+
+    def test_every_public_name_resolves(self):
+        import edgegraceful
+        for name in edgegraceful.__all__:
+            assert getattr(edgegraceful, name) is not None
+        with pytest.raises(AttributeError, match="no_such_name"):
+            edgegraceful.no_such_name

@@ -1,10 +1,38 @@
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgegraceful import cycle, fan, make_graph, path
+from edgegraceful import cycle, edge_orbits, fan, make_graph, path
+from edgegraceful import _orbits
+from support import automorphism_edge_orbits, shuffled_copy, small_corpus
+
+_rng = random.Random(4)
+SHUFFLED_FAMILIES = (
+    [shuffled_copy(fan(1, n), _rng) for n in range(2, 9)]
+    + [shuffled_copy(fan(2, n), _rng) for n in range(1, 6)]
+    + [shuffled_copy(cycle(n), _rng) for n in range(3, 12)]
+    + [shuffled_copy(path(n), _rng) for n in range(2, 12)]
+)
+
+# 4-regular graphs on which some leaves reached with matching cell sizes are
+# not automorphisms, so the edge-by-edge check has to reject them
+REGULAR_GRAPHS = [
+    make_graph(10, [(0, 1), (0, 2), (0, 5), (0, 9), (1, 2), (1, 3), (1, 6), (2, 4), (2, 9),
+                    (3, 4), (3, 5), (3, 7), (4, 5), (4, 6), (5, 8), (6, 7), (6, 8), (7, 8),
+                    (7, 9), (8, 9)]),
+    make_graph(11, [(0, 4), (0, 5), (0, 8), (0, 9), (1, 5), (1, 6), (1, 7), (1, 10), (2, 5),
+                    (2, 7), (2, 8), (2, 9), (3, 6), (3, 8), (3, 9), (3, 10), (4, 6), (4, 8),
+                    (4, 10), (5, 9), (6, 7), (7, 10)]),
+]
+
+
+def orbit_partition(ids: list[int]) -> set[frozenset[int]]:
+    return {frozenset(i for i, x in enumerate(ids) if x == orbit) for orbit in set(ids)}
 
 
 class TestMakeGraph:
@@ -121,3 +149,39 @@ class TestCycleAndPath:
     def test_cycles_validate(self, n):
         g = cycle(n)
         assert make_graph(g.p, g.edges) == g
+
+
+class TestEdgeOrbits:
+    """edge_orbits against the orbits of every automorphism networkx finds."""
+
+    @pytest.mark.parametrize("g", small_corpus(n_random=50) + SHUFFLED_FAMILIES + REGULAR_GRAPHS)
+    def test_matches_automorphism_orbits(self, g):
+        assert orbit_partition(edge_orbits(g)) == automorphism_edge_orbits(g)
+
+    def test_id_is_smallest_edge_index_of_the_orbit(self):
+        for g in SHUFFLED_FAMILIES:
+            ids = edge_orbits(g)
+            assert all(ids[i] == min(orbit) for orbit in orbit_partition(ids) for i in orbit)
+
+    def test_trivial_graphs(self):
+        assert edge_orbits(path(1)) == []
+        assert edge_orbits(path(2)) == [0]
+        assert edge_orbits(make_graph(5, [(0, 1), (3, 4)])) == [0, 0]
+
+    def test_deep_graphs_stay_off_the_recursion_limit(self):
+        n = 3 * sys.getrecursionlimit()
+        assert len(set(edge_orbits(path(n)))) == n // 2
+        assert set(edge_orbits(cycle(n))) == {0}
+        # a star's first path individualises one leaf per level
+        star = make_graph(n + 1, [(0, i) for i in range(1, n + 1)])
+        assert len(edge_orbits(star)) == n
+
+    @pytest.mark.parametrize("limit", [0, 150, 200, 400, 800])
+    def test_out_of_work_leaves_orbits_finer(self, monkeypatch, limit):
+        monkeypatch.setattr(_orbits, "ORBIT_WORK_LIMIT", limit)
+        for g in (cycle(11), fan(2, 5), path(10)):
+            truth = automorphism_edge_orbits(g)
+            found = orbit_partition(edge_orbits(g))
+            assert all(any(part <= orbit for orbit in truth) for part in found)
+        if limit == 0:
+            assert edge_orbits(cycle(11)) == list(range(11))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
 
 import pytest
@@ -18,7 +19,8 @@ from edgegraceful import (
     verify,
 )
 from edgegraceful.search import STACK_MARGIN
-from support import all_graceful_oracle, count_graceful_oracle, small_corpus
+from edgegraceful import _orbits
+from support import all_graceful_oracle, count_graceful_oracle, shuffled_copy, small_corpus
 
 # mode-"first" witnesses: trying each residue class once per level must find
 # the same first labeling as trying every unused label
@@ -30,6 +32,14 @@ PINNED_WITNESSES = [
     (cycle(9), (1, 2, 3, 4, 5, 6, 7, 8, 9)),
     (path(9), (1, 2, 3, 4, 5, 6, 7, 8)),
 ]
+
+# nodes_expanded of each pinned graph in mode "first" and in mode "all" with
+# limit 200, recorded from the kernel before count mode broke symmetries
+PINNED_NODES = [(3, 15), (5, 152), (69, 69), (23, 34), (9, 10973), (8, 10972)]
+
+# K_5 has q = 2p, so no label is alone in its residue class; 787 200 is the
+# count of the 10! permutation scan, 235 470 the class tree's size
+K5 = make_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
 
 
 def solution_set(outcome) -> set[tuple[int, ...]]:
@@ -162,9 +172,12 @@ class TestResidueClassSearch:
         + [fan(1, 3), fan(2, 2), fan(2, 3), cycle(7), cycle(8)],
     )
     def test_count_matches_permutation_oracle(self, g):
-        out = search(g, SearchOptions(mode="count"))
-        assert out.solution_count == count_graceful_oracle(g)
-        assert out.exhausted
+        expected = count_graceful_oracle(g)
+        rng = random.Random(str(g.edges))
+        for h in (g, shuffled_copy(g, rng), shuffled_copy(g, rng)):
+            out = search(h, SearchOptions(mode="count"))
+            assert out.solution_count == expected
+            assert out.exhausted
 
     @pytest.mark.parametrize("g", [fan(1, 3), fan(2, 2), cycle(5), path(5)],
                              ids=["fan13", "fan22", "cycle5", "path5"])
@@ -193,6 +206,39 @@ class TestResidueClassSearch:
         out = search(fan(1, 3), SearchOptions(mode="count", limit=5))
         assert out.solution_count == 5
         assert not out.exhausted
+
+    @pytest.mark.parametrize("g, nodes", list(zip((g for g, _ in PINNED_WITNESSES), PINNED_NODES)))
+    def test_first_and_all_mode_trees_are_pinned(self, g, nodes):
+        first = search(g, SearchOptions(mode="first")).nodes_expanded
+        assert (first, search(g, SearchOptions(mode="all", limit=200)).nodes_expanded) == nodes
+
+
+class TestSymmetryBreaking:
+    """Count mode puts a label that is alone in its residue class on one edge
+    per automorphism orbit and weights the leaf by the orbit's size."""
+
+    def test_count_without_a_class_unique_label(self):
+        out = search(K5, SearchOptions(mode="count"))
+        assert (out.solution_count, out.nodes_expanded) == (787_200, 235_470)
+        assert out.exhausted
+
+    def test_count_limit_cuts_an_orbit_weighted_leaf(self):
+        # C_5: one orbit of 5 edges, weight 1, so every leaf adds 5 of the 20
+        out = search(cycle(5), SearchOptions(mode="count", limit=7))
+        assert out.solution_count == 7
+        assert not out.exhausted
+
+    @pytest.mark.parametrize("g, before", [(cycle(7), 6_223), (cycle(8), 31_584),
+                                           (cycle(9), 178_353), (path(10), 103_109),
+                                           (fan(1, 5), 61_614)])
+    def test_tree_shrinks(self, g, before):
+        # before: the class tree's size without symmetry breaking
+        assert search(g, SearchOptions(mode="count")).nodes_expanded < before
+
+    def test_count_is_exact_when_edge_orbits_gives_up(self, monkeypatch):
+        monkeypatch.setattr(_orbits, "ORBIT_WORK_LIMIT", 0)
+        for g in (cycle(7), fan(1, 3), fan(2, 3), path(6)):
+            assert search(g, SearchOptions(mode="count")).solution_count == count_graceful_oracle(g)
 
 
 class TestDegenerateInputs:
