@@ -20,13 +20,6 @@ import json
 import os
 import sys
 
-from .diophantine import (
-    QuadraticDiophantine,
-    format_rational,
-    integer_solutions,
-    reduce,
-    solve_factor_pairs,
-)
 from .graphs import Graph, cycle, fan, make_graph, path
 from .labeling import EdgeLabeling, verify
 from .lo import classify_fans, lo_check
@@ -156,6 +149,15 @@ def cmd_lo(args) -> int:
 
 
 def cmd_dioph(args) -> int:
+    # imported here so that the other subcommands never load the solver
+    from .diophantine import (
+        QuadraticDiophantine,
+        format_rational,
+        integer_solutions,
+        reduce,
+        solve_factor_pairs,
+    )
+
     eq = QuadraticDiophantine(args.a, args.b, args.c, args.d, args.e, args.f)
     form = reduce(eq)
     if args.trace:

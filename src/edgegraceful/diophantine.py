@@ -11,17 +11,18 @@ reduces, with
 to X^2 - D*Y^2 = N under the substitution X = D*y + E, Y = 2a*x + b*y + d.
 The reduction is implemented for arbitrary c; solving is implemented only for
 the case c = 0, where D = b^2 is a perfect square and the form factors as
-(X + bY)(X - bY) = N.  Every factor pair N1 * N2 = N then pins
+(X + bY)(X - bY) = N.  Every factor pair N1 * N2 = N then pins X and Y, and
+back-substitution (y = (X - E)/D, then x = (Y - b*y - d)/(2a)) recovers
+(x, y).  With D = b^2 the four values close to integer numerators over fixed
+denominators:
 
-    X = (N1 + N2)/2,   Y = (N1 - N2)/(2b),
+    X = (N1 + N2)/2,             Y = (N1 - N2)/(2b),
+    y = (N1 + N2 - 2E)/(2D),     x = (E - bd - N2)/(2ab).
 
-and back-substitution recovers candidate (x, y) as exact rationals:
-
-    y = (X - E)/D,     x = (Y - b*y - d)/(2a).
-
-All arithmetic is exact.  Non-integral rows are retained (flagged, not
-dropped) so the full enumeration trace can be rendered; only rows where
-X, Y, x, y are all integers contribute to the solution set.
+A row is integral exactly when the four remainders are zero.  Non-integral
+rows are retained (flagged, not dropped) so the full enumeration trace can be
+rendered as exact ``Fraction`` values; ``integer_solutions`` reads only the
+remainders and integer quotients and builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -238,14 +239,13 @@ def _ordered_factor_pairs(N: int) -> list[tuple[int, int]]:
     return half + [(-n1, -n2) for (n1, n2) in half]
 
 
-def solve_factor_pairs(form: ReducedForm) -> list[FactorPairRow]:
-    """Enumerate every ordered factor pair of N with the derived values.
+def _factor_pair_numerators(form: ReducedForm):
+    """Each row of the factor-pair table as integer numerators.
 
-    Only supported when the originating equation has c = 0 and b != 0, so
-    that D = b^2 > 0 factors the form over the integers, and when N != 0
-    (N = 0 degenerates to a product of two linear factors with infinitely
-    many factorizations).  Both orders of each unordered pair appear, and
-    sign-flipped pairs follow the positive ones.
+    Yields ``(N1, N2, X, Y, x, y, integral)`` in table order, where X, Y, x
+    and y are the numerators over ``_denominators(form)`` and ``integral``
+    is true iff all four divide exactly.  Raises ValueError (at the first
+    row) for a form the method does not support.
     """
     eq = form.equation
     if eq.c != 0:
@@ -253,20 +253,47 @@ def solve_factor_pairs(form: ReducedForm) -> list[FactorPairRow]:
     if eq.b == 0:
         raise ValueError("factor-pair method requires b != 0 (D = b^2 would be 0)")
     if form.D <= 0 or math.isqrt(form.D) ** 2 != form.D:
-        # unreachable when c = 0, but forms are not forced to come from there
+        # a form from reduce() with c = 0 has D = b^2; only hand-built ones fail
         raise ValueError("factor-pair method requires D to be a positive perfect square")
+    if form != reduce(eq):
+        # the closed forms rest on D = b^2 and E = bd - 2ae
+        raise ValueError("reduced form does not match reduce(form.equation)")
     if form.N == 0:
         raise ValueError("factor-pair method requires N != 0")
 
-    rows = []
+    dX, dY, dx, dy = _denominators(form)
+    x_offset, y_offset = form.E - eq.b * eq.d, 2 * form.E
     for n1, n2 in _ordered_factor_pairs(form.N):
-        X = Fraction(n1 + n2, 2)
-        Y = Fraction(n1 - n2, 2 * eq.b)
-        y = (X - form.E) / form.D
-        x = (Y - eq.b * y - eq.d) / (2 * eq.a)
-        integral = all(v.denominator == 1 for v in (X, Y, x, y))
-        rows.append(FactorPairRow(N1=n1, N2=n2, X=X, Y=Y, x=x, y=y, integral=integral))
-    return rows
+        X, Y, x = n1 + n2, n1 - n2, x_offset - n2
+        y = X - y_offset
+        integral = not (X % dX or Y % dY or x % dx or y % dy)
+        yield n1, n2, X, Y, x, y, integral
+
+
+def _denominators(form: ReducedForm) -> tuple[int, int, int, int]:
+    """Denominators of X, Y, x, y in ``_factor_pair_numerators``."""
+    a, b = form.equation.a, form.equation.b
+    return 2, 2 * b, 2 * a * b, 2 * form.D
+
+
+def solve_factor_pairs(form: ReducedForm) -> list[FactorPairRow]:
+    """Enumerate every ordered factor pair of N with the derived values.
+
+    Only supported when the originating equation has c = 0 and b != 0, so
+    that D = b^2 > 0 factors the form over the integers, when the form is
+    ``reduce(form.equation)``, and when N != 0 (N = 0 degenerates to a
+    product of two linear factors with infinitely many factorizations).
+    Both orders of each unordered pair appear, and sign-flipped pairs follow
+    the positive ones.
+    """
+    dX, dY, dx, dy = _denominators(form)
+    return [
+        FactorPairRow(
+            N1=n1, N2=n2, X=Fraction(X, dX), Y=Fraction(Y, dY),
+            x=Fraction(x, dx), y=Fraction(y, dy), integral=integral,
+        )
+        for n1, n2, X, Y, x, y, integral in _factor_pair_numerators(form)
+    ]
 
 
 def integer_solutions(eq: QuadraticDiophantine) -> list[tuple[int, int]]:
@@ -275,8 +302,13 @@ def integer_solutions(eq: QuadraticDiophantine) -> list[tuple[int, int]]:
     Harvested from the integral factor-pair rows; duplicates arising from
     different pairs collapse to one entry.
     """
-    rows = solve_factor_pairs(reduce(eq))
-    found = {(int(r.x), int(r.y)) for r in rows if r.integral}
+    form = reduce(eq)
+    _, _, dx, dy = _denominators(form)
+    found = {
+        (x // dx, y // dy)
+        for _, _, _, _, x, y, integral in _factor_pair_numerators(form)
+        if integral
+    }
     return sorted(found)
 
 

@@ -10,16 +10,26 @@ For the usual fan F_{1,n} (p = n+1, q = 2n-1) the condition says that
 k = (7n^2 - 5n)/(2n + 2) is an integer, i.e. that (n, k) solves the c = 0
 quadratic 7n^2 - 2nk - 5n - 2k = 0.  That equation has finitely many integer
 solutions, which ``classify_fans`` takes from the factor-pair solver, so the
-cost does not depend on the bound.
+cost does not depend on the bound.  The solver is imported there, on first
+use, so a program that only screens graphs does not load it; for the same
+reason ``FAN_EQUATION`` is built on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diophantine import QuadraticDiophantine, integer_solutions
+# (a, b, c, d, e, f) of the usual-fan equation in (x, y) = (n, k)
+FAN_COEFFICIENTS = (7, -2, 0, -5, -2, 0)
 
-FAN_EQUATION = QuadraticDiophantine(7, -2, 0, -5, -2, 0)
+
+def __getattr__(name: str):
+    if name != "FAN_EQUATION":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .diophantine import QuadraticDiophantine
+
+    value = globals()[name] = QuadraticDiophantine(*FAN_COEFFICIENTS)
+    return value
 
 
 @dataclass(frozen=True)
@@ -43,9 +53,13 @@ def lo_check(p: int, q: int) -> LoReport:
 def classify_fans(n_max: int) -> list[int]:
     """All n in [1, n_max] whose usual fan passes the divisibility screen.
 
-    Filters the solution set of ``FAN_EQUATION`` to 1 <= x <= n_max; no
-    labeling search.  The answer is [2, 3, 11] for every n_max >= 11.
+    Filters the solution set of the equation ``FAN_COEFFICIENTS`` to
+    1 <= x <= n_max; no labeling search.  The answer is [2, 3, 11] for every
+    n_max >= 11.
     """
+    from .diophantine import QuadraticDiophantine, integer_solutions
+
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    return sorted(x for x, _ in integer_solutions(FAN_EQUATION) if 1 <= x <= n_max)
+    solutions = integer_solutions(QuadraticDiophantine(*FAN_COEFFICIENTS))
+    return sorted(x for x, _ in solutions if 1 <= x <= n_max)

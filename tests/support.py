@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from edgegraceful import Graph, cycle, fan, make_graph, path
@@ -73,6 +74,36 @@ def divisors_oracle(n: int) -> list[int]:
                 large.append(n // t)
         t += 1
     return small + large[::-1]
+
+
+def factor_pair_rows_oracle(eq) -> list[tuple]:
+    """Every factor-pair row of a c = 0 equation, (N1, N2, X, Y, x, y, integral).
+
+    The pairs come from sympy's divisors of N in the solver's table layout
+    (|N1| < |N2| ascending, a square middle pair, the mirror, then all signs
+    flipped); the values from the chain X = (N1 + N2)/2, Y = (N1 - N2)/(2b),
+    y = (X - E)/D, x = (Y - b*y - d)/(2a) in Fraction arithmetic.
+    """
+    import sympy
+
+    assert eq.c == 0
+    D = eq.b * eq.b
+    E = eq.b * eq.d - 2 * eq.a * eq.e
+    N = E * E - D * (eq.d * eq.d - 4 * eq.a * eq.f)
+    divs = sympy.divisors(abs(N))
+    small = [t for t in divs if t * t < abs(N)]
+    half = [(t, N // t) for t in small]
+    half += [(t, N // t) for t in divs if t * t == abs(N)]
+    half += [(N // t, t) for t in small]
+    rows = []
+    for n1, n2 in half + [(-n1, -n2) for n1, n2 in half]:
+        X = Fraction(n1 + n2, 2)
+        Y = Fraction(n1 - n2, 2 * eq.b)
+        y = (X - E) / D
+        x = (Y - eq.b * y - eq.d) / (2 * eq.a)
+        integral = all(v.denominator == 1 for v in (X, Y, x, y))
+        rows.append((n1, n2, X, Y, x, y, integral))
+    return rows
 
 
 def fan_scan_oracle(n_max: int) -> list[int]:

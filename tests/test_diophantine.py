@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgegraceful import (
@@ -20,7 +21,7 @@ from edgegraceful import (
     solve_factor_pairs,
 )
 from edgegraceful import diophantine
-from support import divisors_oracle, src_env
+from support import divisors_oracle, factor_pair_rows_oracle, src_env
 from fan_trace_reference import (
     EXPECTED_FAN_SOLUTIONS,
     EXPECTED_FAN_TRACE,
@@ -28,6 +29,16 @@ from fan_trace_reference import (
 )
 
 FAN_EQ = QuadraticDiophantine(7, -2, 0, -5, -2, 0)
+
+
+def fan_mn_equation(m: int) -> QuadraticDiophantine:
+    """Lo's condition for F_{m,n} as a c = 0 equation with x = n (m = 1: FAN_EQ)."""
+    return QuadraticDiophantine(2 * m * m + 4 * m + 1, -2, 0, -(4 * m + 1), -2 * m, m - m * m)
+
+
+def row_tuples(rows) -> list[tuple]:
+    return [(r.N1, r.N2, r.X, r.Y, r.x, r.y, r.integral) for r in rows]
+
 
 coef = st.integers(-8, 8)
 nonzero = coef.filter(lambda v: v != 0)
@@ -94,6 +105,13 @@ class TestSolveFactorPairs:
         with pytest.raises(ValueError, match="perfect square"):
             solve_factor_pairs(form)
 
+    @pytest.mark.parametrize("field,value", [("D", 9), ("E", 40), ("F", 24), ("N", 1345)])
+    def test_rejects_form_inconsistent_with_equation(self, field, value):
+        good = {"D": 4, "E": 38, "F": 25, "N": 1344}
+        form = ReducedForm(FAN_EQ, **{**good, field: value})
+        with pytest.raises(ValueError, match="does not match reduce"):
+            solve_factor_pairs(form)
+
     def test_fan_highlighted_row(self):
         rows = {(r.N1, r.N2): r for r in solve_factor_pairs(reduce(FAN_EQ))}
         r = rows[(4, 336)]
@@ -148,6 +166,36 @@ class TestSolveFactorPairs:
         rows = solve_factor_pairs(reduce(eq))
         assert [r.N1 for r in rows] == [1, 2, 4, 16, 8, -1, -2, -4, -16, -8]
         assert sum(1 for r in rows if (r.N1, r.N2) == (4, 4)) == 1
+
+
+class TestFactorPairOracle:
+    """Rows of the closed forms against the Fraction chain, row for row."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_fan_mn_equations(self, m):
+        eq = fan_mn_equation(m)
+        assert row_tuples(solve_factor_pairs(reduce(eq))) == factor_pair_rows_oracle(eq)
+
+    def test_oracle_reproduces_fan_trace(self):
+        oracle = factor_pair_rows_oracle(FAN_EQ)
+        assert len(oracle) == len(EXPECTED_FAN_TRACE) == 56
+        for row, (n1, n2, *printed) in zip(oracle, EXPECTED_FAN_TRACE):
+            assert row[:2] == (n1, n2)
+            assert all(matches_printed(v, text) for v, text in zip(row[2:6], printed))
+
+    @settings(deadline=None)
+    @given(
+        st.integers(-100, 100).filter(lambda v: v != 0),
+        st.integers(-100, 100).filter(lambda v: v != 0),
+        st.integers(-3000, 3000),
+        st.integers(-3000, 3000),
+        st.integers(-300_000, 300_000),
+    )
+    def test_random_c0_equations(self, a, b, d, e, f):
+        # |N| reaches about 10^12 with these ranges
+        eq = QuadraticDiophantine(a, b, 0, d, e, f)
+        assume(reduce(eq).N != 0)
+        assert row_tuples(solve_factor_pairs(reduce(eq))) == factor_pair_rows_oracle(eq)
 
 
 class TestBackSubstitute:
@@ -205,6 +253,23 @@ class TestIntegerSolutions:
             return
         for x, y in integer_solutions(eq):
             assert eq.evaluate(x, y) == 0
+
+    @settings(deadline=None)
+    @given(
+        st.integers(-30, 30).filter(lambda v: v != 0),
+        st.integers(-30, 30).filter(lambda v: v != 0),
+        st.integers(-300, 300),
+        st.integers(-300, 300),
+        st.integers(-300, 300),
+    )
+    def test_random_c0_equations_match_sympy(self, a, b, d, e, f):
+        eq = QuadraticDiophantine(a, b, 0, d, e, f)
+        assume(reduce(eq).N != 0)
+        x, y = sympy.symbols("x y", integer=True)
+        expect = sympy.diophantine(
+            a * x**2 + b * x * y + d * x + e * y + f, syms=[x, y]
+        )
+        assert set(integer_solutions(eq)) == {(int(u), int(v)) for u, v in expect}
 
     @given(nonzero, nonzero, coef, coef, coef)
     def test_random_c0_equations_complete_in_window(self, a, b, d, e, f):
@@ -287,6 +352,39 @@ class TestLazyImport:
                 "assert 'edgegraceful.lo' not in sys.modules; "
                 "assert eg.classify_fans(20) == [2, 3, 11]; "
                 "assert 'edgegraceful.diophantine' in sys.modules")
+        subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
+
+    def test_fan_equation_is_built_on_first_access(self):
+        code = ("import sys; from edgegraceful import lo; "
+                "assert 'edgegraceful.diophantine' not in sys.modules; "
+                "from edgegraceful.diophantine import QuadraticDiophantine; "
+                "assert lo.FAN_EQUATION == QuadraticDiophantine(7, -2, 0, -5, -2, 0); "
+                "assert lo.FAN_EQUATION is lo.FAN_EQUATION")
+        subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
+
+    def test_cli_subcommands_without_the_solver_do_not_load_it(self, tmp_path):
+        from edgegraceful import fan, search
+        from edgegraceful.cli import graph_to_doc, labeling_to_doc
+
+        graph_doc = tmp_path / "graph.json"
+        graph_doc.write_text(json.dumps(graph_to_doc(fan(1, 3))))
+        labeling_doc = tmp_path / "labeling.json"
+        labeling_doc.write_text(json.dumps(labeling_to_doc(search(fan(1, 3)).solutions[0])))
+        code = (
+            "import contextlib, io, sys\n"
+            "from edgegraceful import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['gen', 'fan', '--n', '3']),\n"
+            "             cli.main(['lo', '--p', '4', '--q', '5']),\n"
+            f"             cli.main(['search', {str(graph_doc)!r}]),\n"
+            f"             cli.main(['verify', {str(labeling_doc)!r}])]\n"
+            "assert codes == [0, 0, 0, 0], codes\n"
+            "assert 'edgegraceful.diophantine' not in sys.modules\n"
+            "assert 'fractions' not in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['dioph', '7', '-2', '0', '-5', '-2', '0']) == 0\n"
+            "assert 'edgegraceful.diophantine' in sys.modules\n"
+        )
         subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
 
     def test_every_public_name_resolves(self):
