@@ -6,34 +6,25 @@ With c = 0 the reduced form X^2 - D*Y^2 = N has D = b^2, so it factors as
 Rows whose back-substituted (x, y) are both integers are the solutions.
 """
 
-from edgegraceful import (
-    QuadraticDiophantine,
-    back_substitute,
-    format_rational,
-    integer_solutions,
-    reduce,
-    solve_factor_pairs,
-)
+from edgegraceful import QuadraticDiophantine, integer_solutions, reduce
+from edgegraceful.cli import factor_pair_trace, main
 
-eq = QuadraticDiophantine(7, -2, 0, -5, -2, 0)
+COEFFICIENTS = (7, -2, 0, -5, -2, 0)
+
+eq = QuadraticDiophantine(*COEFFICIENTS)
 form = reduce(eq)
 print(f"equation: {eq.a}x^2 + ({eq.b})xy + ({eq.d})x + ({eq.e})y = 0")
 print(f"reduced:  X^2 - {form.D}*Y^2 = {form.N}   "
       f"(D={form.D}, E={form.E}, F={form.F})")
 
-rows = solve_factor_pairs(form)
-print(f"\n{len(rows)} factor-pair rows; integral ones marked with *:\n")
-header = ("N1", "N2", "X", "Y", "x", "y")
-table = [header] + [
-    (str(r.N1), str(r.N2), format_rational(r.X), format_rational(r.Y),
-     format_rational(r.x), format_rational(r.y))
-    for r in rows
-]
-widths = [max(len(row[i]) for row in table) for i in range(6)]
-print("  ".join(c.rjust(w) for c, w in zip(header, widths)))
-for row, r in zip(table[1:], rows):
-    mark = " *" if r.integral else ""
-    print("  ".join(c.rjust(w) for c, w in zip(row, widths)) + mark)
+rows = factor_pair_trace(form)
+print(f"\n{len(rows)} factor-pair rows, as `edgegraceful dioph --trace` prints them:\n")
+assert main(["dioph", *map(str, COEFFICIENTS), "--trace"]) == 0
+
+print("\nintegral rows:")
+for r in rows:
+    if r["integral"]:
+        print(f"  (N1, N2) = ({r['N1']}, {r['N2']}) -> (x, y) = ({r['x']}, {r['y']})")
 
 print("\ninteger solutions, sorted:")
 for x, y in integer_solutions(eq):
@@ -41,7 +32,11 @@ for x, y in integer_solutions(eq):
     print(f"  (x, y) = ({x}, {y})")
 
 print("\nback-substitution spot checks:")
-for X, Y in [(50, 17), (62, 25), (170, 83)]:
-    print(f"  (X, Y) = ({X}, {Y}) -> (x, y) = {back_substitute(X, Y, form)}")
+by_pair = {(r["N1"], r["N2"]): r for r in rows}
+for pair in [(16, 84), (12, 112), (32, 42)]:
+    r = by_pair[pair]
+    verdict = "integral" if r["integral"] else "not integral"
+    print(f"  (N1, N2) = {pair}: (X, Y) = ({r['X']}, {r['Y']}) -> "
+          f"(x, y) = ({r['x']}, {r['y']}), {verdict}")
 
 print("\nonly x >= 1 names a fan, leaving x in {2, 3, 11}")

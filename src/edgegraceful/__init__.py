@@ -20,7 +20,7 @@ _LAZY = {
     **dict.fromkeys(("LoReport", "lo_check", "classify_fans"), "lo"),
     **dict.fromkeys(
         ("QuadraticDiophantine", "ReducedForm", "FactorPairRow", "reduce",
-         "solve_factor_pairs", "back_substitute", "integer_solutions",
+         "solve_factor_pairs", "integer_solutions",
          "positive_divisors", "format_rational"),
         "diophantine",
     ),
@@ -40,7 +40,7 @@ __all__ = [
     "EdgeLabeling", "InducedLabels", "Verdict", "induce", "verify",
     "LoReport", "lo_check", "classify_fans",
     "QuadraticDiophantine", "ReducedForm", "FactorPairRow",
-    "reduce", "solve_factor_pairs", "back_substitute", "integer_solutions",
+    "reduce", "solve_factor_pairs", "integer_solutions",
     "positive_divisors", "format_rational",
     "SearchOptions", "SearchOutcome", "search", "completion_order",
 ]

@@ -19,11 +19,15 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .graphs import Graph, cycle, fan, make_graph, path
 from .labeling import EdgeLabeling, verify
 from .lo import classify_fans, lo_check
 from .search import SearchOptions, search
+
+if TYPE_CHECKING:
+    from .diophantine import ReducedForm
 
 OK, NO, USAGE = 0, 1, 2
 
@@ -71,8 +75,7 @@ def labeling_from_doc(doc) -> EdgeLabeling:
     graph_field = doc["graph"]
     if isinstance(graph_field, str):
         # by file reference
-        with open(graph_field, encoding="utf-8") as fh:
-            graph_field = json.load(fh)
+        graph_field = _read_json(graph_field)
     graph = graph_from_doc(graph_field)
     if graph.p > MAX_VERIFY_VERTICES:
         raise ValueError(
@@ -95,6 +98,24 @@ def labeling_to_dot(labeling: EdgeLabeling) -> str:
         lines.append(f'  {u} -- {v} [label="{lab}"];')
     lines.append("}")
     return "\n".join(lines)
+
+
+def factor_pair_trace(form: ReducedForm) -> list[dict]:
+    """Every factor-pair row of ``form`` in table order, as the trace prints it.
+
+    N1 and N2 stay integers; X, Y, x and y are rendered exactly from their
+    integer numerators and denominators; ``integral`` marks the rows that
+    solve the equation.  Raises ValueError for a form the solver rejects.
+    """
+    from .diophantine import _denominators, _factor_pair_numerators, format_rational
+
+    dens = _denominators(form)
+    return [
+        {"N1": n1, "N2": n2,
+         **{k: format_rational(num, den) for k, num, den in zip("XYxy", nums, dens)},
+         "integral": integral}
+        for n1, n2, *nums, integral in _factor_pair_numerators(form)
+    ]
 
 
 def _read_json(source: str):
@@ -150,39 +171,20 @@ def cmd_lo(args) -> int:
 
 def cmd_dioph(args) -> int:
     # imported here so that the other subcommands never load the solver
-    from .diophantine import (
-        QuadraticDiophantine,
-        format_rational,
-        integer_solutions,
-        reduce,
-        solve_factor_pairs,
-    )
+    from .diophantine import QuadraticDiophantine, integer_solutions, reduce
 
     eq = QuadraticDiophantine(args.a, args.b, args.c, args.d, args.e, args.f)
     form = reduce(eq)
     if args.trace:
-        rows = solve_factor_pairs(form)
+        rows = factor_pair_trace(form)
         if args.format == "json":
             print(json.dumps({
-                "D": form.D, "E": form.E, "F": form.F, "N": form.N,
-                "rows": [
-                    {
-                        "N1": r.N1, "N2": r.N2,
-                        "X": format_rational(r.X), "Y": format_rational(r.Y),
-                        "x": format_rational(r.x), "y": format_rational(r.y),
-                        "integral": r.integral,
-                    }
-                    for r in rows
-                ],
+                "D": form.D, "E": form.E, "F": form.F, "N": form.N, "rows": rows,
             }))
         else:
             print(f"X^2 - {form.D}*Y^2 = {form.N}")
             header = ("N1", "N2", "X", "Y", "x", "y")
-            table = [header] + [
-                (str(r.N1), str(r.N2), format_rational(r.X), format_rational(r.Y),
-                 format_rational(r.x), format_rational(r.y))
-                for r in rows
-            ]
+            table = [header] + [tuple(str(r[k]) for k in header) for r in rows]
             widths = [max(len(row[i]) for row in table) for i in range(6)]
             for row in table:
                 print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))

@@ -21,17 +21,19 @@ denominators:
 
 A row is integral exactly when the four remainders are zero.  Non-integral
 rows are retained (flagged, not dropped) so the full enumeration trace can be
-rendered as exact ``Fraction`` values; ``integer_solutions`` reads only the
-remainders and integer quotients and builds no ``Fraction``.
+rendered.  ``integer_solutions`` reads only the remainders and integer
+quotients; only ``solve_factor_pairs`` builds ``Fraction`` values, and
+``fractions`` is imported there, on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-Rational = int | Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class QuadraticDiophantine:
         if self.a == 0:
             raise ValueError("coefficient a must be nonzero")
 
-    def evaluate(self, x: Rational, y: Rational) -> Rational:
+    def evaluate(self, x: int, y: int) -> int:
         """Left-hand side at (x, y); zero exactly when (x, y) is a solution."""
         return (
             self.a * x * x
@@ -98,22 +100,6 @@ def reduce(eq: QuadraticDiophantine) -> ReducedForm:
     E = eq.b * eq.d - 2 * eq.a * eq.e
     F = eq.d * eq.d - 4 * eq.a * eq.f
     return ReducedForm(equation=eq, D=D, E=E, F=F, N=E * E - D * F)
-
-
-def back_substitute(X: Rational, Y: Rational, form: ReducedForm) -> tuple[int, int] | None:
-    """Recover (x, y) from a point on X^2 - D*Y^2 = N, or None.
-
-    y = (X - E)/D is taken first, then x = (Y - b*y - d)/(2a) using it; the
-    pair is returned only when both quotients are integers.
-    """
-    if form.D == 0:
-        raise ValueError("back-substitution requires D != 0")
-    eq = form.equation
-    y = Fraction(X - form.E, form.D)
-    x = (Fraction(Y) - eq.b * y - eq.d) / (2 * eq.a)
-    if y.denominator != 1 or x.denominator != 1:
-        return None
-    return int(x), int(y)
 
 
 # Miller-Rabin on the primes 2..41 as bases has no strong pseudoprime below
@@ -286,6 +272,8 @@ def solve_factor_pairs(form: ReducedForm) -> list[FactorPairRow]:
     Both orders of each unordered pair appear, and sign-flipped pairs follow
     the positive ones.
     """
+    from fractions import Fraction
+
     dX, dY, dx, dy = _denominators(form)
     return [
         FactorPairRow(
@@ -312,11 +300,14 @@ def integer_solutions(eq: QuadraticDiophantine) -> list[tuple[int, int]]:
     return sorted(found)
 
 
-def format_rational(value: Rational) -> str:
-    """Render exactly: integers plainly, terminating decimals as decimals,
-    everything else as num/den."""
-    fr = Fraction(value)
-    num, den = fr.numerator, fr.denominator
+def format_rational(num: int, den: int) -> str:
+    """Render num/den exactly: integers plainly, terminating decimals as
+    decimals, everything else as num/den in lowest terms with the sign on
+    the numerator.  Raises ValueError when den is 0."""
+    if den == 0:
+        raise ValueError("format_rational requires a nonzero denominator")
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    num, den = num // g, den // g
     if den == 1:
         return str(num)
     twos = fives = 0

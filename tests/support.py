@@ -106,6 +106,30 @@ def factor_pair_rows_oracle(eq) -> list[tuple]:
     return rows
 
 
+def format_rational_oracle(value) -> str:
+    """The exact rendering through ``Fraction``: integers plainly, terminating
+    decimals as decimals, everything else as num/den."""
+    fr = Fraction(value)
+    num, den = fr.numerator, fr.denominator
+    if den == 1:
+        return str(num)
+    twos = fives = 0
+    rest = den
+    while rest % 2 == 0:
+        rest //= 2
+        twos += 1
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return f"{num}/{den}"
+    places = max(twos, fives)
+    scaled = abs(num) * 10**places // den
+    digits = str(scaled).rjust(places + 1, "0")
+    sign = "-" if num < 0 else ""
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
 def fan_scan_oracle(n_max: int) -> list[int]:
     """Every n <= n_max with (7n^2 - 5n)/(2n + 2) integral, by direct scan."""
     return [n for n in range(1, n_max + 1) if (7 * n * n - 5 * n) % (2 * n + 2) == 0]

@@ -7,10 +7,10 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from edgegraceful import EdgeLabeling, fan, make_graph, verify
+from edgegraceful import EdgeLabeling, QuadraticDiophantine, fan, make_graph, reduce, verify
 from edgegraceful.cli import (
     graph_from_doc,
     graph_to_doc,
@@ -18,7 +18,7 @@ from edgegraceful.cli import (
     labeling_to_doc,
     main,
 )
-from support import src_env
+from support import factor_pair_rows_oracle, format_rational_oracle, src_env
 
 CLI = [sys.executable, "-m", "edgegraceful"]
 TRIANGLE_EDGES = [[0, 1], [1, 2], [2, 0]]
@@ -52,6 +52,12 @@ def run(capsys, *argv):
 def run_with_stdin(capsys, monkeypatch, text, *argv):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     return run(capsys, *argv)
+
+
+def trace_oracle(eq: QuadraticDiophantine) -> list[tuple]:
+    """(N1, N2, X, Y, x, y, integral) per row, the values rendered through Fraction."""
+    return [(n1, n2, *map(format_rational_oracle, values), integral)
+            for n1, n2, *values, integral in factor_pair_rows_oracle(eq)]
 
 
 class TestDocuments:
@@ -191,6 +197,42 @@ class TestDioph:
             "x": "47", "y": "158.625", "integral": False,
         }
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(-30, 30).filter(lambda v: v != 0),
+        st.integers(-30, 30).filter(lambda v: v != 0),
+        st.integers(-300, 300),
+        st.integers(-300, 300),
+        st.integers(-300, 300),
+    )
+    # b < 0, or a*b < 0, puts the sign of Y, or of x, in a negative denominator
+    @example(3, -7, 5, 11, -13)
+    @example(-5, 3, 2, -9, 4)
+    @example(-6, -9, 4, 1, 7)
+    @example(2, 3, 0, 0, 1)
+    def test_trace_json_matches_fraction_oracle(self, a, b, d, e, f):
+        eq = QuadraticDiophantine(a, b, 0, d, e, f)
+        assume(reduce(eq).N != 0)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["dioph", *map(str, (a, b, 0, d, e, f)), "--trace", "--format", "json"])
+        assert code == 0
+        rows = [tuple(r[k] for k in ("N1", "N2", "X", "Y", "x", "y", "integral"))
+                for r in json.loads(out.getvalue())["rows"]]
+        assert rows == trace_oracle(eq)
+
+    def test_trace_table_with_negative_denominators(self, capsys):
+        # b = -7 and a*b = -21: Y and x have negative denominators
+        code, out, _ = run(capsys, "dioph", "3", "-7", "0", "5", "11", "-13", "--trace")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "X^2 - 49*Y^2 = 1332"
+        assert lines[1].split() == ["N1", "N2", "X", "Y", "x", "y"]
+        assert len({len(line) for line in lines[1:]}) == 1
+        expected = [(str(n1), str(n2), *cells)
+                    for n1, n2, *cells, _ in trace_oracle(QuadraticDiophantine(3, -7, 0, 5, 11, -13))]
+        assert [tuple(line.split()) for line in lines[2:]] == expected
+
     def test_restriction_violation_named(self, capsys):
         code, _, err = run(capsys, "dioph", "1", "0", "0", "0", "1", "0")
         assert code == 2
@@ -320,6 +362,16 @@ class TestVerify:
         code, _, err = run_with_stdin(capsys, monkeypatch, doc, "verify", "-")
         assert code == 2
         assert "permutation" in err
+
+    def test_deeply_nested_graph_reference_exits_2(self, capsys, monkeypatch, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        doc = json.dumps({"graph": str(deep), "labels": [1]})
+        code, out, err = run_with_stdin(capsys, monkeypatch, doc, "verify", "-")
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_json_format(self, capsys, monkeypatch):
         doc = json.dumps({"graph": graph_to_doc(fan(1, 2)), "labels": [1, 2, 3]})

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from edgegraceful import (
     QuadraticDiophantine,
     ReducedForm,
-    back_substitute,
     format_rational,
     integer_solutions,
     positive_divisors,
@@ -21,7 +20,12 @@ from edgegraceful import (
     solve_factor_pairs,
 )
 from edgegraceful import diophantine
-from support import divisors_oracle, factor_pair_rows_oracle, src_env
+from support import (
+    divisors_oracle,
+    factor_pair_rows_oracle,
+    format_rational_oracle,
+    src_env,
+)
 from fan_trace_reference import (
     EXPECTED_FAN_SOLUTIONS,
     EXPECTED_FAN_TRACE,
@@ -199,25 +203,25 @@ class TestFactorPairOracle:
 
 
 class TestBackSubstitute:
-    FORM = reduce(FAN_EQ)
+    """(X, Y) back to (x, y), as the factor-pair rows of the fan equation carry it."""
+
+    ROWS = {(r.N1, r.N2): r for r in solve_factor_pairs(reduce(FAN_EQ))}
 
     def test_recovers_small_solution(self):
-        assert back_substitute(50, 17, self.FORM) == (2, 3)
+        r = self.ROWS[(16, 84)]
+        assert (r.X, r.Y, r.x, r.y) == (50, 17, 2, 3)
+        assert r.integral
 
     def test_recovers_middle_solution(self):
-        assert back_substitute(62, 25, self.FORM) == (3, 6)
-
-    def test_rejects_nonintegral(self):
-        assert back_substitute(Fraction(1345, 2), Fraction(1343, 4), self.FORM) is None
+        r = self.ROWS[(12, 112)]
+        assert (r.X, r.Y, r.x, r.y) == (62, 25, 3, 6)
+        assert r.integral
 
     def test_rejects_integral_point_off_lattice(self):
-        # X = 37 gives y = -1/4
-        assert back_substitute(37, Fraction(5, 2), self.FORM) is None
-
-    def test_requires_nonzero_d(self):
-        form = reduce(QuadraticDiophantine(1, 0, 0, 0, 0, 0))
-        with pytest.raises(ValueError, match="D != 0"):
-            back_substitute(1, 1, form)
+        # X = 37 is an integer, but y = -1/4
+        r = self.ROWS[(32, 42)]
+        assert (r.X, r.Y, r.y) == (37, Fraction(5, 2), Fraction(-1, 4))
+        assert not r.integral
 
 
 class TestIntegerSolutions:
@@ -295,18 +299,38 @@ class TestHelpers:
     @pytest.mark.parametrize(
         "value,text",
         [
-            (Fraction(1345, 2), "672.5"),
-            (Fraction(1343, 4), "335.75"),
-            (Fraction(41, 7), "41/7"),
-            (Fraction(-27, 28), "-27/28"),
-            (Fraction(46, 5), "9.2"),
-            (Fraction(33), "33"),
-            (Fraction(-1, 4), "-0.25"),
-            (0, "0"),
+            ((1345, 2), "672.5"),
+            ((1343, 4), "335.75"),
+            ((41, 7), "41/7"),
+            ((-27, 28), "-27/28"),
+            ((46, 5), "9.2"),
+            ((33, 1), "33"),
+            ((-1, 4), "-0.25"),
+            ((0, 1), "0"),
+            # unreduced, negative denominator, both signs negative
+            ((2690, 4), "672.5"),
+            ((1343, -4), "-335.75"),
+            ((-1345, -2), "672.5"),
+            ((0, -7), "0"),
         ],
     )
     def test_format_rational(self, value, text):
-        assert format_rational(value) == text
+        assert format_rational(*value) == text
+
+    def test_format_rational_rejects_zero_denominator(self):
+        with pytest.raises(ValueError, match="nonzero denominator"):
+            format_rational(1, 0)
+
+    @given(
+        st.integers(-10**9, 10**9),
+        st.one_of(
+            st.integers(-10**6, 10**6),
+            st.builds(lambda i, j, s: s * 2**i * 5**j, st.integers(0, 12),
+                      st.integers(0, 12), st.sampled_from([-1, 1])),
+        ).filter(lambda d: d != 0),
+    )
+    def test_format_rational_matches_fraction_oracle(self, num, den):
+        assert format_rational(num, den) == format_rational_oracle(Fraction(num, den))
 
 
 class TestPositiveDivisors:
@@ -381,9 +405,17 @@ class TestLazyImport:
             "assert codes == [0, 0, 0, 0], codes\n"
             "assert 'edgegraceful.diophantine' not in sys.modules\n"
             "assert 'fractions' not in sys.modules\n"
+            "fan_eq = ['dioph', '7', '-2', '0', '-5', '-2', '0']\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(['dioph', '7', '-2', '0', '-5', '-2', '0']) == 0\n"
+            "    codes = [cli.main(fan_eq), cli.main(fan_eq + ['--trace']),\n"
+            "             cli.main(fan_eq + ['--trace', '--format', 'json']),\n"
+            "             cli.main(['classify-fans', '--max', '100'])]\n"
+            "assert codes == [0, 0, 0, 0], codes\n"
             "assert 'edgegraceful.diophantine' in sys.modules\n"
+            "assert 'fractions' not in sys.modules\n"
+            "from edgegraceful import QuadraticDiophantine, reduce, solve_factor_pairs\n"
+            "solve_factor_pairs(reduce(QuadraticDiophantine(7, -2, 0, -5, -2, 0)))\n"
+            "assert 'fractions' in sys.modules\n"
         )
         subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
 
