@@ -7,7 +7,8 @@ Rows whose back-substituted (x, y) are both integers are the solutions.
 """
 
 from edgegraceful import QuadraticDiophantine, integer_solutions, reduce
-from edgegraceful.cli import factor_pair_trace, main
+from edgegraceful.cli import main
+from edgegraceful.diophantine import factor_pair_trace
 
 COEFFICIENTS = (7, -2, 0, -5, -2, 0)
 

@@ -19,15 +19,11 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from .graphs import Graph, cycle, fan, make_graph, path
 from .labeling import EdgeLabeling, verify
 from .lo import classify_fans, lo_check
 from .search import SearchOptions, search
-
-if TYPE_CHECKING:
-    from .diophantine import ReducedForm
 
 OK, NO, USAGE = 0, 1, 2
 
@@ -38,13 +34,6 @@ MAX_VERIFY_VERTICES = 10**6
 # ---------------------------------------------------------------------------
 # interchange documents
 # ---------------------------------------------------------------------------
-
-def _json_int(value, what: str) -> int:
-    """``value`` itself if it is an integer; bools, floats and the rest are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
 
 def graph_to_doc(graph: Graph) -> dict:
     return {"p": graph.p, "edges": [[u, v] for u, v in graph.edges]}
@@ -58,11 +47,7 @@ def graph_from_doc(doc) -> Graph:
         isinstance(e, list) and len(e) == 2 for e in edges
     ):
         raise ValueError("'edges' must be an array of two-element arrays")
-    return make_graph(
-        _json_int(doc["p"], "'p'"),
-        [(_json_int(u, "an edge endpoint"), _json_int(v, "an edge endpoint"))
-         for u, v in edges],
-    )
+    return make_graph(doc["p"], edges)
 
 
 def labeling_to_doc(labeling: EdgeLabeling) -> dict:
@@ -85,7 +70,7 @@ def labeling_from_doc(doc) -> EdgeLabeling:
     labels = doc["labels"]
     if not isinstance(labels, list):
         raise ValueError("'labels' must be an integer array")
-    return EdgeLabeling(graph, tuple(_json_int(x, "a label") for x in labels))
+    return EdgeLabeling(graph, tuple(labels))
 
 
 def labeling_to_dot(labeling: EdgeLabeling) -> str:
@@ -98,24 +83,6 @@ def labeling_to_dot(labeling: EdgeLabeling) -> str:
         lines.append(f'  {u} -- {v} [label="{lab}"];')
     lines.append("}")
     return "\n".join(lines)
-
-
-def factor_pair_trace(form: ReducedForm) -> list[dict]:
-    """Every factor-pair row of ``form`` in table order, as the trace prints it.
-
-    N1 and N2 stay integers; X, Y, x and y are rendered exactly from their
-    integer numerators and denominators; ``integral`` marks the rows that
-    solve the equation.  Raises ValueError for a form the solver rejects.
-    """
-    from .diophantine import _denominators, _factor_pair_numerators, format_rational
-
-    dens = _denominators(form)
-    return [
-        {"N1": n1, "N2": n2,
-         **{k: format_rational(num, den) for k, num, den in zip("XYxy", nums, dens)},
-         "integral": integral}
-        for n1, n2, *nums, integral in _factor_pair_numerators(form)
-    ]
 
 
 def _read_json(source: str):
@@ -171,7 +138,9 @@ def cmd_lo(args) -> int:
 
 def cmd_dioph(args) -> int:
     # imported here so that the other subcommands never load the solver
-    from .diophantine import QuadraticDiophantine, integer_solutions, reduce
+    from .diophantine import (
+        QuadraticDiophantine, factor_pair_trace, integer_solutions, reduce,
+    )
 
     eq = QuadraticDiophantine(args.a, args.b, args.c, args.d, args.e, args.f)
     form = reduce(eq)

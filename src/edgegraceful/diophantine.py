@@ -20,10 +20,10 @@ denominators:
     y = (N1 + N2 - 2E)/(2D),     x = (E - bd - N2)/(2ab).
 
 A row is integral exactly when the four remainders are zero.  Non-integral
-rows are retained (flagged, not dropped) so the full enumeration trace can be
-rendered.  ``integer_solutions`` reads only the remainders and integer
-quotients; only ``solve_factor_pairs`` builds ``Fraction`` values, and
-``fractions`` is imported there, on first use.
+rows are retained (flagged, not dropped) so that ``factor_pair_trace`` can
+render the full enumeration.  ``integer_solutions`` reads only the remainders
+and integer quotients; only ``solve_factor_pairs`` builds ``Fraction`` values,
+and ``fractions`` is imported there, on first use.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .graphs import require_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -51,6 +53,7 @@ class QuadraticDiophantine:
     f: int
 
     def __post_init__(self) -> None:
+        require_int("a coefficient", self.a, self.b, self.c, self.d, self.e, self.f)
         if self.a == 0:
             raise ValueError("coefficient a must be nonzero")
 
@@ -119,6 +122,7 @@ def positive_divisors(n: int) -> list[int]:
     ``MR_EXACT_BELOW``, or a composite whose factors Pollard-Brent does not
     find within ``RHO_STEP_LIMIT`` iterations.
     """
+    require_int("n", n)
     if n == 0:
         raise ValueError("zero has no finite divisor list")
     divisors = [1]
@@ -304,6 +308,7 @@ def format_rational(num: int, den: int) -> str:
     """Render num/den exactly: integers plainly, terminating decimals as
     decimals, everything else as num/den in lowest terms with the sign on
     the numerator.  Raises ValueError when den is 0."""
+    require_int("a numerator or denominator", num, den)
     if den == 0:
         raise ValueError("format_rational requires a nonzero denominator")
     g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
@@ -325,3 +330,19 @@ def format_rational(num: int, den: int) -> str:
     digits = str(scaled).rjust(places + 1, "0")
     sign = "-" if num < 0 else ""
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+def factor_pair_trace(form: ReducedForm) -> list[dict]:
+    """Every factor-pair row of ``form`` in table order, as the trace prints it.
+
+    N1 and N2 stay integers; X, Y, x and y are rendered exactly from their
+    integer numerators and denominators; ``integral`` marks the rows that
+    solve the equation.  Raises ValueError for a form the solver rejects.
+    """
+    dens = _denominators(form)
+    return [
+        {"N1": n1, "N2": n2,
+         **{k: format_rational(num, den) for k, num, den in zip("XYxy", nums, dens)},
+         "integral": integral}
+        for n1, n2, *nums, integral in _factor_pair_numerators(form)
+    ]

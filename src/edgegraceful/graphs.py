@@ -12,6 +12,18 @@ from dataclasses import dataclass
 Edge = tuple[int, int]
 
 
+def require_int(what: str, *values) -> None:
+    """Raise ValueError unless every value is an int (a bool is not one).
+
+    Run before any comparison, so a float is never truncated and no TypeError
+    escapes; graph and labeling fields and numeric arguments all go through it.
+    The ``type(v) is not int`` test first lets a plain int through at once.
+    """
+    for v in values:
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
+            raise ValueError(f"{what} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertices ``0..p-1``.
@@ -24,17 +36,18 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if self.p < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.p}")
-        seen: set[frozenset[int]] = set()
+        p = self.p
+        require_int("vertex count", p)
+        if p < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {p}")
+        seen: set[Edge] = set()
         for u, v in self.edges:
-            if not (0 <= u < self.p and 0 <= v < self.p):
-                raise ValueError(
-                    f"edge ({u},{v}) has an endpoint out of range [0, {self.p})"
-                )
+            require_int("an edge endpoint", u, v)
+            if not (0 <= u < p and 0 <= v < p):
+                raise ValueError(f"edge ({u},{v}) has an endpoint out of range [0, {p})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
-            key = frozenset((u, v))
+            key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add(key)
@@ -54,7 +67,7 @@ class Graph:
 
 def make_graph(p: int, edges) -> Graph:
     """Validating constructor; accepts any iterable of (u, v) pairs."""
-    return Graph(p, tuple((int(u), int(v)) for u, v in edges))
+    return Graph(p, tuple((u, v) for u, v in edges))
 
 
 def fan(m: int, n: int) -> Graph:
@@ -64,10 +77,9 @@ def fan(m: int, n: int) -> Graph:
     list starts with all hub-path edges (hub-major, path-minor), followed by
     the path edges; p = m+n and q = m*n + (n-1).  The usual fan is m=1.
     """
-    if m < 1:
-        raise ValueError(f"fan requires m >= 1, got {m}")
-    if n < 1:
-        raise ValueError(f"fan requires n >= 1, got {n}")
+    require_int("fan size", m, n)
+    if m < 1 or n < 1:
+        raise ValueError(f"fan requires m, n >= 1, got m={m}, n={n}")
     hub_edges = [(h, m + i) for h in range(m) for i in range(n)]
     path_edges = [(m + i, m + i + 1) for i in range(n - 1)]
     return Graph(m + n, tuple(hub_edges + path_edges))
@@ -75,6 +87,7 @@ def fan(m: int, n: int) -> Graph:
 
 def cycle(n: int) -> Graph:
     """Cycle on ``n`` vertices; edges (i, i+1 mod n) in index order."""
+    require_int("cycle size", n)
     if n < 3:
         raise ValueError(f"cycle requires n >= 3, got {n}")
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
@@ -82,6 +95,7 @@ def cycle(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     """Path on ``n`` vertices; edges (i, i+1)."""
+    require_int("path size", n)
     if n < 1:
         raise ValueError(f"path requires n >= 1, got {n}")
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, require_int
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class EdgeLabeling:
     """A bijection from edges to {1..q}, stored in edge-list order.
 
     ``labels[i]`` is the label of ``graph.edges[i]``.  Construction rejects
-    anything that is not a permutation of 1..q.
+    anything that is not a permutation of the integers 1..q.
     """
 
     graph: Graph
@@ -36,9 +36,8 @@ class EdgeLabeling:
     def __post_init__(self) -> None:
         q = self.graph.q
         if len(self.labels) != q:
-            raise ValueError(
-                f"expected {q} labels (one per edge), got {len(self.labels)}"
-            )
+            raise ValueError(f"{len(self.labels)} labels for {q} edges; need one per edge")
+        require_int("a label", *self.labels)
         if sorted(self.labels) != list(range(1, q + 1)):
             raise ValueError(f"labels must be a permutation of 1..{q}")
 

@@ -11,25 +11,17 @@ k = (7n^2 - 5n)/(2n + 2) is an integer, i.e. that (n, k) solves the c = 0
 quadratic 7n^2 - 2nk - 5n - 2k = 0.  That equation has finitely many integer
 solutions, which ``classify_fans`` takes from the factor-pair solver, so the
 cost does not depend on the bound.  The solver is imported there, on first
-use, so a program that only screens graphs does not load it; for the same
-reason ``FAN_EQUATION`` is built on first access.
+use, so a program that only screens graphs does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .graphs import require_int
+
 # (a, b, c, d, e, f) of the usual-fan equation in (x, y) = (n, k)
 FAN_COEFFICIENTS = (7, -2, 0, -5, -2, 0)
-
-
-def __getattr__(name: str):
-    if name != "FAN_EQUATION":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .diophantine import QuadraticDiophantine
-
-    value = globals()[name] = QuadraticDiophantine(*FAN_COEFFICIENTS)
-    return value
 
 
 @dataclass(frozen=True)
@@ -42,6 +34,7 @@ class LoReport:
 
 def lo_check(p: int, q: int) -> LoReport:
     """Evaluate the divisibility condition for a (p, q) graph."""
+    require_int("vertex and edge counts", p, q)
     if p < 1:
         raise ValueError(f"vertex count must be positive, got {p}")
     if q < 0:
@@ -59,6 +52,7 @@ def classify_fans(n_max: int) -> list[int]:
     """
     from .diophantine import QuadraticDiophantine, integer_solutions
 
+    require_int("n_max", n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     solutions = integer_solutions(QuadraticDiophantine(*FAN_COEFFICIENTS))

@@ -49,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
-from .graphs import Graph, edge_orbits
+from .graphs import Graph, edge_orbits, require_int
 from .labeling import EdgeLabeling
 
 MODES = ("first", "all", "count")
@@ -72,8 +72,10 @@ class SearchOptions:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError(f"limit must be >= 1 when given, got {self.limit}")
+        if self.limit is not None:
+            require_int("limit", self.limit)
+            if self.limit < 1:
+                raise ValueError(f"limit must be >= 1 when given, got {self.limit}")
 
 
 @dataclass(frozen=True)

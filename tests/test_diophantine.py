@@ -80,6 +80,13 @@ class TestReduce:
         with pytest.raises(ValueError, match="nonzero"):
             QuadraticDiophantine(0, 1, 0, 1, 1, 1)
 
+    @pytest.mark.parametrize("coefficients", [(7.0, -2, 0, -5, -2, 0), (7, -2, 0, -5, -2, 0.5),
+                                              (7, -2, False, -5, -2, 0), (7, "-2", 0, -5, -2, 0)])
+    def test_rejects_non_integer_coefficient(self, coefficients):
+        # rejected at construction, not with a TypeError inside integer_solutions
+        with pytest.raises(ValueError, match="coefficient must be an integer"):
+            QuadraticDiophantine(*coefficients)
+
     @given(nonzero, coef, coef, coef, coef, st.integers(-50, 50), st.integers(-50, 50))
     def test_solutions_map_onto_the_reduced_form(self, a, b, c, d, e, x, y):
         # choose f so that (x, y) solves the equation, then check the identity
@@ -317,6 +324,17 @@ class TestHelpers:
     def test_format_rational(self, value, text):
         assert format_rational(*value) == text
 
+    @pytest.mark.parametrize("n", [12.0, True, "12"])
+    def test_positive_divisors_rejects_non_integer(self, n):
+        # a float would give float divisors
+        with pytest.raises(ValueError, match="must be an integer"):
+            positive_divisors(n)
+
+    @pytest.mark.parametrize("num, den", [(1.5, 2), (1, 2.0), (True, 2)])
+    def test_format_rational_rejects_non_integer(self, num, den):
+        with pytest.raises(ValueError, match="must be an integer"):
+            format_rational(num, den)
+
     def test_format_rational_rejects_zero_denominator(self):
         with pytest.raises(ValueError, match="nonzero denominator"):
             format_rational(1, 0)
@@ -376,14 +394,6 @@ class TestLazyImport:
                 "assert 'edgegraceful.lo' not in sys.modules; "
                 "assert eg.classify_fans(20) == [2, 3, 11]; "
                 "assert 'edgegraceful.diophantine' in sys.modules")
-        subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
-
-    def test_fan_equation_is_built_on_first_access(self):
-        code = ("import sys; from edgegraceful import lo; "
-                "assert 'edgegraceful.diophantine' not in sys.modules; "
-                "from edgegraceful.diophantine import QuadraticDiophantine; "
-                "assert lo.FAN_EQUATION == QuadraticDiophantine(7, -2, 0, -5, -2, 0); "
-                "assert lo.FAN_EQUATION is lo.FAN_EQUATION")
         subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
 
     def test_cli_subcommands_without_the_solver_do_not_load_it(self, tmp_path):

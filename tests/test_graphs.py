@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgegraceful import cycle, edge_orbits, fan, make_graph, path
+from edgegraceful import Graph, cycle, edge_orbits, fan, make_graph, path
 from edgegraceful import _orbits
 from support import automorphism_edge_orbits, shuffled_copy, small_corpus
 
@@ -62,6 +62,28 @@ class TestMakeGraph:
     def test_rejects_negative_vertex_count(self):
         with pytest.raises(ValueError, match="nonnegative"):
             make_graph(-1, [])
+
+    @pytest.mark.parametrize("p, edges", [
+        (3, [(0, 1.9), (1, 2)]),  # not truncated to the edge (0, 1)
+        (2, [(False, True)]),
+        (3, [("0", 1)]),
+        (3, [(0, None)]),
+    ], ids=["float", "bool", "str", "none"])
+    def test_rejects_non_integer_endpoint(self, p, edges):
+        with pytest.raises(ValueError, match="endpoint must be an integer"):
+            make_graph(p, edges)
+
+    @pytest.mark.parametrize("p", [2.5, True, "2", None, [2]])
+    def test_rejects_non_integer_vertex_count(self, p):
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            Graph(p, ((0, 1),))
+
+    @pytest.mark.parametrize("make", [lambda: fan(True, 2), lambda: fan(1, 3.0),
+                                      lambda: cycle(5.0), lambda: path(True)],
+                             ids=["fan-bool", "fan-float", "cycle-float", "path-bool"])
+    def test_generators_reject_non_integer_sizes(self, make):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make()
 
     def test_empty_graph_ok(self):
         assert make_graph(0, []).q == 0

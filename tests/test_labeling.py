@@ -27,6 +27,16 @@ class TestEdgeLabelingInvariant:
         with pytest.raises(ValueError, match="permutation"):
             labeled(fan(1, 2), (1, 1, 2))
 
+    @pytest.mark.parametrize("labels", [(1.0,), (True,), ("1",), (None,)],
+                             ids=["float", "bool", "str", "none"])
+    def test_rejects_non_integer_label(self, labels):
+        with pytest.raises(ValueError, match="label must be an integer"):
+            EdgeLabeling(make_graph(2, [(0, 1)]), labels)
+
+    def test_rejects_mixed_types_before_sorting(self):
+        with pytest.raises(ValueError, match="label must be an integer"):
+            labeled(fan(1, 2), ("1", 2.7, 3))
+
     def test_rejects_zero_based(self):
         with pytest.raises(ValueError, match="permutation"):
             labeled(fan(1, 2), (0, 1, 2))

@@ -49,6 +49,12 @@ class TestLoCheck:
         with pytest.raises(ValueError):
             lo_check(3, -1)
 
+    @pytest.mark.parametrize("p, q", [(12.0, 21), (12, 21.0), (True, 1), ("12", 21)])
+    def test_rejects_non_integer_counts(self, p, q):
+        # a float would give a float residual, 396.0 for (12.0, 21)
+        with pytest.raises(ValueError, match="must be an integer"):
+            lo_check(p, q)
+
     def test_exact_at_large_inputs(self):
         p, q = 2**31, 2**31
         report = lo_check(p, q)
@@ -96,6 +102,11 @@ class TestClassifyFans:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             classify_fans(0)
+
+    @pytest.mark.parametrize("n_max", [11.5, True, "100"])
+    def test_rejects_non_integer_bound(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            classify_fans(n_max)
 
     @pytest.mark.parametrize("n_max", [10**5, 10**18], ids=["1e5", "1e18"])
     def test_no_solutions_past_11(self, n_max):

@@ -66,6 +66,13 @@ class TestOptions:
             SearchOptions(mode="all", limit=0)
 
 
+    @pytest.mark.parametrize("limit", [2.5, True, "2"])
+    def test_rejects_non_integer_limit(self, limit):
+        # the limit caps solution_count, so a float would come back as the count
+        with pytest.raises(ValueError, match="limit must be an integer"):
+            SearchOptions(mode="count", limit=limit)
+
+
 class TestCompletionOrder:
     def test_is_a_permutation_of_edge_indices(self):
         for g in (fan(1, 5), cycle(6), path(7), fan(2, 3)):
