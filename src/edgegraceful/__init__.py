@@ -38,9 +38,6 @@ def __getattr__(name: str):
 __all__ = [
     "Graph", "make_graph", "fan", "cycle", "path", "edge_orbits",
     "EdgeLabeling", "InducedLabels", "Verdict", "induce", "verify",
-    "LoReport", "lo_check", "classify_fans",
-    "QuadraticDiophantine", "ReducedForm", "FactorPairRow",
-    "reduce", "solve_factor_pairs", "integer_solutions",
-    "positive_divisors", "format_rational",
     "SearchOptions", "SearchOutcome", "search", "completion_order",
+    *_LAZY,
 ]

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .graphs import Graph, cycle, fan, make_graph, path
+from .graphs import Graph, cycle, fan, path
 from .labeling import EdgeLabeling, verify
 from .lo import classify_fans, lo_check
 from .search import SearchOptions, search
@@ -40,14 +40,17 @@ def graph_to_doc(graph: Graph) -> dict:
 
 
 def graph_from_doc(doc) -> Graph:
+    """Graph of a parsed ``{"p": ..., "edges": [[u, v], ...]}`` document.
+
+    Only the JSON types are checked here; ``Graph`` checks the vertex count
+    and every edge, so a malformed document raises ValueError either way.
+    """
     if not isinstance(doc, dict) or "p" not in doc or "edges" not in doc:
         raise ValueError("graph document needs fields 'p' and 'edges'")
     edges = doc["edges"]
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 for e in edges
-    ):
-        raise ValueError("'edges' must be an array of two-element arrays")
-    return make_graph(doc["p"], edges)
+    if not isinstance(edges, list):
+        raise ValueError("'edges' must be an array of vertex pairs")
+    return Graph(doc["p"], edges)
 
 
 def labeling_to_doc(labeling: EdgeLabeling) -> dict:
@@ -70,7 +73,7 @@ def labeling_from_doc(doc) -> EdgeLabeling:
     labels = doc["labels"]
     if not isinstance(labels, list):
         raise ValueError("'labels' must be an integer array")
-    return EdgeLabeling(graph, tuple(labels))
+    return EdgeLabeling(graph, labels)
 
 
 def labeling_to_dot(labeling: EdgeLabeling) -> str:

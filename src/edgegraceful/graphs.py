@@ -1,12 +1,13 @@
 """Simple undirected graphs, the deterministic family generators and edge orbits.
 
-A graph is a vertex count ``p`` plus an ordered list of edges.  Edge order is
+A graph is a vertex count ``p`` plus an ordered tuple of edges.  Edge order is
 part of every generator's contract: labelings are stored as arrays aligned
 with it, so two calls with equal arguments must produce identical edge lists.
 """
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 Edge = tuple[int, int]
@@ -18,18 +19,23 @@ def require_int(what: str, *values) -> None:
     Run before any comparison, so a float is never truncated and no TypeError
     escapes; graph and labeling fields and numeric arguments all go through it.
     The ``type(v) is not int`` test first lets a plain int through at once.
+    The message shows a shortened repr, so a huge value stays a short error.
     """
     for v in values:
         if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
-            raise ValueError(f"{what} must be an integer, got {v!r}")
+            raise ValueError(f"{what} must be an integer, got {reprlib.repr(v)}")
 
 
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertices ``0..p-1``.
 
-    Invariants (enforced on construction): endpoints in range, no self-loops,
-    no duplicate edges as unordered pairs.
+    The one graph constructor: ``edges`` may be any iterable of vertex pairs,
+    each a tuple or list of two integers, and is stored as a tuple of
+    ``(u, v)`` tuples in the order given, so equal graphs hash alike.  One
+    pass over the edges enforces the edge rule: every edge is a pair, its
+    endpoints are integers in range, and there are no self-loops and no
+    duplicate edges as unordered pairs.  Anything else raises ValueError.
     """
 
     p: int
@@ -40,17 +46,34 @@ class Graph:
         require_int("vertex count", p)
         if p < 0:
             raise ValueError(f"vertex count must be nonnegative, got {p}")
+        try:
+            pairs = iter(self.edges)
+        except TypeError:
+            raise ValueError(
+                f"edges must be an iterable of vertex pairs, got {type(self.edges).__name__}"
+            ) from None
+        edges: list[Edge] = []
         seen: set[Edge] = set()
-        for u, v in self.edges:
+        for item in pairs:
+            # a list (as JSON documents give) or a tuple subclass becomes a tuple
+            e = item if type(item) is tuple else (
+                tuple(item) if isinstance(item, (tuple, list)) else ())
+            if len(e) != 2:
+                raise ValueError(
+                    f"edge {len(edges)} is not a pair of vertices: {reprlib.repr(item)}"
+                )
+            u, v = e
             require_int("an edge endpoint", u, v)
             if not (0 <= u < p and 0 <= v < p):
                 raise ValueError(f"edge ({u},{v}) has an endpoint out of range [0, {p})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
-            key = (u, v) if u < v else (v, u)
+            key = e if u < v else (v, u)
             if key in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add(key)
+            edges.append(e)
+        object.__setattr__(self, "edges", tuple(edges))
 
     @property
     def q(self) -> int:
@@ -65,9 +88,8 @@ class Graph:
         return deg
 
 
-def make_graph(p: int, edges) -> Graph:
-    """Validating constructor; accepts any iterable of (u, v) pairs."""
-    return Graph(p, tuple((u, v) for u, v in edges))
+# the historical name of the constructor, kept for callers that use it
+make_graph = Graph
 
 
 def fan(m: int, n: int) -> Graph:
@@ -82,7 +104,7 @@ def fan(m: int, n: int) -> Graph:
         raise ValueError(f"fan requires m, n >= 1, got m={m}, n={n}")
     hub_edges = [(h, m + i) for h in range(m) for i in range(n)]
     path_edges = [(m + i, m + i + 1) for i in range(n - 1)]
-    return Graph(m + n, tuple(hub_edges + path_edges))
+    return Graph(m + n, hub_edges + path_edges)
 
 
 def cycle(n: int) -> Graph:
@@ -90,7 +112,7 @@ def cycle(n: int) -> Graph:
     require_int("cycle size", n)
     if n < 3:
         raise ValueError(f"cycle requires n >= 3, got {n}")
-    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n: int) -> Graph:
@@ -98,7 +120,7 @@ def path(n: int) -> Graph:
     require_int("path size", n)
     if n < 1:
         raise ValueError(f"path requires n >= 1, got {n}")
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def edge_orbits(graph: Graph) -> list[int]:

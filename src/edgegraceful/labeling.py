@@ -26,14 +26,22 @@ from .graphs import Graph, require_int
 class EdgeLabeling:
     """A bijection from edges to {1..q}, stored in edge-list order.
 
-    ``labels[i]`` is the label of ``graph.edges[i]``.  Construction rejects
-    anything that is not a permutation of the integers 1..q.
+    ``labels[i]`` is the label of ``graph.edges[i]``.  ``labels`` may be any
+    iterable and is stored as a tuple.  Construction rejects anything that is
+    not a permutation of the integers 1..q with ValueError.
     """
 
     graph: Graph
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.labels) is not tuple:
+            try:
+                object.__setattr__(self, "labels", tuple(self.labels))
+            except TypeError:
+                raise ValueError(
+                    f"labels must be an iterable of integers, got {type(self.labels).__name__}"
+                ) from None
         q = self.graph.q
         if len(self.labels) != q:
             raise ValueError(f"{len(self.labels)} labels for {q} edges; need one per edge")

@@ -123,17 +123,18 @@ def completion_order(graph: Graph) -> list[int]:
 
 
 def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
-    """Depth-first search for edge-graceful labelings of ``graph``."""
+    """Depth-first search for edge-graceful labelings of ``graph``.
+
+    Every graph the constructor accepts gets an answer, edgeless ones too.
+    Two isolated vertices both induce residue 0, so a graph with more than
+    one is refuted at once (an edgeless graph on p >= 2 vertices among them).
+    An edgeless graph on at most one vertex has exactly one labeling, the
+    empty one, and it is vacuously edge-graceful, as ``verify`` agrees.
+    """
     opts = options or SearchOptions()
     p, q = graph.p, graph.q
-
-    if q == 0:
-        if p > 1:
-            raise ValueError(
-                "graph has vertices but no edges; no labeling can induce "
-                f"{p} distinct residues"
-            )
-        return SearchOutcome((), 0, 0, True)
+    target = 1 if opts.mode == "first" else opts.limit
+    collect = opts.mode != "count"
 
     max_depth = sys.getrecursionlimit() - STACK_MARGIN
     if q > max_depth:
@@ -147,6 +148,10 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     isolated = p - len({w for edge in graph.edges for w in edge})
     if isolated > 1:
         return SearchOutcome((), 0, 0, True)
+    if q == 0:
+        # p <= 1: the empty labeling is the one leaf, counted as record() would
+        found = (EdgeLabeling(graph, ()),) if collect else ()
+        return SearchOutcome(found, 1, 0, exhausted=target is None or target > 1)
 
     order = completion_order(graph)
     edges = [graph.edges[i] for i in order]
@@ -160,8 +165,6 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     for w, pos in last_pos.items():
         completes_at[pos].append(w)
 
-    target = 1 if opts.mode == "first" else opts.limit
-    collect = opts.mode != "count"
     # labelings each leaf stands for: rem classes hold k+1 labels, p-rem hold k
     k, rem = divmod(q, p)
     weight = factorial(k + 1) ** rem * factorial(k) ** (p - rem)

@@ -8,10 +8,21 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from edgegraceful import Graph, cycle, fan, make_graph, path
 
 CORPUS_SEED = 20250810
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# values of the shapes bad input takes, nested: None, bools, numbers, strings,
+# lists, pairs and dicts, for constructors that must raise only ValueError
+junk_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 5), st.floats(), st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=8,
+)
 
 
 def src_env() -> dict[str, str]:

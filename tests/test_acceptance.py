@@ -136,7 +136,7 @@ def test_c5_handshake_congruence_bulk():
         g = random_simple_graph(rng)
         labels = list(range(1, g.q + 1))
         rng.shuffle(labels)
-        residues = induce(EdgeLabeling(g, tuple(labels))).residues
+        residues = induce(EdgeLabeling(g, labels)).residues
         assert sum(residues) % g.p == g.q * (g.q + 1) % g.p
         checked += 1
     report(5, f"residue totals matched q(q+1) mod p on {checked} random pairs")

@@ -422,6 +422,22 @@ class TestPipeline:
         assert code == 0
         assert "edge-graceful: yes" in verify_out
 
+    def test_single_vertex_path_composes(self, capsys, monkeypatch):
+        # the empty labeling of a one-vertex graph is found and verified
+        code, gen_out, _ = run(capsys, "gen", "path", "--n", "1")
+        assert code == 0
+        code, search_out, _ = run_with_stdin(capsys, monkeypatch, gen_out, "search", "-")
+        assert code == 0
+        assert json.loads(search_out) == {"graph": {"p": 1, "edges": []}, "labels": []}
+        code, verify_out, _ = run_with_stdin(capsys, monkeypatch, search_out, "verify", "-")
+        assert code == 0
+        assert "edge-graceful: yes" in verify_out
+
+    def test_edgeless_multi_vertex_search_refutes(self, capsys, monkeypatch):
+        code, out, err = run_with_stdin(capsys, monkeypatch, '{"p": 3, "edges": []}',
+                                        "search", "-", "--mode", "count")
+        assert (code, out, err) == (1, "solutions = 0\n", "")
+
     def test_file_input(self, capsys, tmp_path):
         gpath = tmp_path / "graph.json"
         gpath.write_text(json.dumps(graph_to_doc(make_graph(3, [(0, 1), (1, 2), (2, 0)]))))
@@ -498,9 +514,12 @@ def mutated(draw, docs, keys):
 graph_docs = st.one_of(
     valid_graph_docs(),
     mutated(valid_graph_docs(), ["p", "edges"]),
-    st.fixed_dictionaries({"p": st.one_of(st.integers(-2, 9), big_int),
-                           "edges": st.lists(st.lists(st.one_of(st.integers(-1, 9), junk),
-                                                      min_size=1, max_size=3), max_size=5)}),
+    # edge entries: arrays of near-valid or junk endpoints, or junk in place of an array
+    st.fixed_dictionaries({
+        "p": st.one_of(st.integers(-2, 9), big_int),
+        "edges": st.lists(st.one_of(st.lists(st.one_of(st.integers(-1, 9), junk),
+                                             min_size=1, max_size=3), junk), max_size=5),
+    }),
     junk,
 )
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from edgegraceful import Graph, cycle, edge_orbits, fan, make_graph, path
 from edgegraceful import _orbits
-from support import automorphism_edge_orbits, shuffled_copy, small_corpus
+from support import automorphism_edge_orbits, junk_values, shuffled_copy, small_corpus
 
 _rng = random.Random(4)
 SHUFFLED_FAMILIES = (
@@ -85,6 +85,33 @@ class TestMakeGraph:
         with pytest.raises(ValueError, match="must be an integer"):
             make()
 
+    @pytest.mark.parametrize("edges", [[5], [(0, 1, 2)], [(0,)], ["01"], [{0, 1}],
+                                       [{0: 1, 1: 0}], None, 5, [(0, 1), None]],
+                             ids=["int", "triple", "single", "str", "set", "dict",
+                                  "none", "int-edges", "none-edge"])
+    def test_rejects_non_pair_edges(self, edges):
+        with pytest.raises(ValueError):
+            make_graph(3, edges)
+
+    def test_error_message_is_bounded(self):
+        with pytest.raises(ValueError) as info:
+            make_graph(3, [[0] * 10**5])
+        with pytest.raises(ValueError) as info_endpoint:
+            make_graph(3, [([0] * 10**5, 1)])
+        assert len(str(info.value)) < 200
+        assert len(str(info_endpoint.value)) < 200
+
+    def test_make_graph_is_the_constructor(self):
+        assert make_graph is Graph
+
+    def test_any_iterable_of_pairs_stored_as_tuples(self):
+        g = Graph(3, [[0, 1]])
+        assert g == Graph(3, ((0, 1),))
+        assert hash(g) == hash(Graph(3, ((0, 1),)))
+        assert g.edges == ((0, 1),)
+        assert type(g.edges[0]) is tuple
+        assert Graph(3, (e for e in [(2, 1), [0, 1]])).edges == ((2, 1), (0, 1))
+
     def test_empty_graph_ok(self):
         assert make_graph(0, []).q == 0
         assert make_graph(5, []).q == 0
@@ -93,6 +120,17 @@ class TestMakeGraph:
         g = make_graph(12, fan(1, 11).edges)
         assert g.p == 12
         assert g.q == 21
+
+
+class TestConstructorFuzz:
+    @given(st.one_of(junk_values, st.integers(0, 5)), junk_values)
+    def test_graph_raises_only_value_error(self, p, edges):
+        try:
+            g = Graph(p, edges)
+        except ValueError:
+            return
+        assert hash(g) == hash(Graph(g.p, g.edges))
+        assert all(type(e) is tuple and len(e) == 2 for e in g.edges)
 
 
 class TestFan:

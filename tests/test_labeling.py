@@ -8,24 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from edgegraceful import EdgeLabeling, cycle, fan, induce, lo_check, make_graph, path, verify
-from support import random_simple_graph, residues_oracle
-
-
-def labeled(graph, labels):
-    return EdgeLabeling(graph, tuple(labels))
+from support import junk_values, random_simple_graph, residues_oracle
 
 
 class TestEdgeLabelingInvariant:
     def test_accepts_permutation(self):
-        labeled(fan(1, 2), (3, 1, 2))
+        EdgeLabeling(fan(1, 2), (3, 1, 2))
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="one per edge"):
-            labeled(fan(1, 2), (1, 2))
+            EdgeLabeling(fan(1, 2), (1, 2))
 
     def test_rejects_repeats(self):
         with pytest.raises(ValueError, match="permutation"):
-            labeled(fan(1, 2), (1, 1, 2))
+            EdgeLabeling(fan(1, 2), (1, 1, 2))
 
     @pytest.mark.parametrize("labels", [(1.0,), (True,), ("1",), (None,)],
                              ids=["float", "bool", "str", "none"])
@@ -35,32 +31,57 @@ class TestEdgeLabelingInvariant:
 
     def test_rejects_mixed_types_before_sorting(self):
         with pytest.raises(ValueError, match="label must be an integer"):
-            labeled(fan(1, 2), ("1", 2.7, 3))
+            EdgeLabeling(fan(1, 2), ("1", 2.7, 3))
+
+    @pytest.mark.parametrize("labels", [None, 5, 2.0], ids=["none", "int", "float"])
+    def test_rejects_non_iterable_labels(self, labels):
+        with pytest.raises(ValueError, match="iterable"):
+            EdgeLabeling(fan(1, 2), labels)
+
+    def test_list_labels_stored_as_a_tuple(self):
+        lab = EdgeLabeling(fan(1, 2), [1, 2, 3])
+        assert lab == EdgeLabeling(fan(1, 2), (1, 2, 3))
+        assert hash(lab) == hash(EdgeLabeling(fan(1, 2), (1, 2, 3)))
+        assert type(lab.labels) is tuple
+
+    def test_label_error_message_is_bounded(self):
+        with pytest.raises(ValueError) as info:
+            EdgeLabeling(make_graph(2, [(0, 1)]), [[1] * 10**5])
+        assert len(str(info.value)) < 200
+
+    @given(junk_values)
+    def test_junk_raises_only_value_error(self, labels):
+        try:
+            lab = EdgeLabeling(fan(1, 2), labels)
+        except ValueError:
+            return
+        assert sorted(lab.labels) == [1, 2, 3]
+        hash(lab)
 
     def test_rejects_zero_based(self):
         with pytest.raises(ValueError, match="permutation"):
-            labeled(fan(1, 2), (0, 1, 2))
+            EdgeLabeling(fan(1, 2), (0, 1, 2))
 
 
 class TestInduce:
     def test_smallest_fan_example(self):
         # hand computation: 1+2=3, 1+3=4, 2+3=5 (mod 3)
-        got = induce(labeled(fan(1, 2), (1, 2, 3)))
+        got = induce(EdgeLabeling(fan(1, 2), (1, 2, 3)))
         assert got.residues == (0, 1, 2)
 
     def test_smallest_fan_against_full_enumeration(self):
         g = fan(1, 2)
         for perm in itertools.permutations((1, 2, 3)):
             expect = tuple(residues_oracle(g.p, g.edges, perm))
-            assert induce(labeled(g, perm)).residues == expect
+            assert induce(EdgeLabeling(g, perm)).residues == expect
 
     def test_single_edge(self):
-        got = induce(labeled(path(2), (1,)))
+        got = induce(EdgeLabeling(path(2), (1,)))
         assert got.residues == (1, 1)
 
     def test_cycle5_sequential(self):
         # vertex sums 1+5, 1+2, 2+3, 3+4, 4+5 (mod 5)
-        got = induce(labeled(cycle(5), (1, 2, 3, 4, 5)))
+        got = induce(EdgeLabeling(cycle(5), (1, 2, 3, 4, 5)))
         assert got.residues == (1, 3, 0, 2, 4)
 
     def test_residue_range(self):
@@ -69,7 +90,7 @@ class TestInduce:
             g = random_simple_graph(rng)
             labels = list(range(1, g.q + 1))
             rng.shuffle(labels)
-            res = induce(labeled(g, labels)).residues
+            res = induce(EdgeLabeling(g, labels)).residues
             assert all(0 <= r < g.p for r in res)
 
     @given(st.data())
@@ -83,25 +104,25 @@ class TestInduce:
         perm = data.draw(st.permutations(list(range(q))))
         g1 = make_graph(p, edges)
         g2 = make_graph(p, [edges[i] for i in perm])
-        l1 = labeled(g1, labels)
-        l2 = labeled(g2, [labels[i] for i in perm])
+        l1 = EdgeLabeling(g1, labels)
+        l2 = EdgeLabeling(g2, [labels[i] for i in perm])
         assert induce(l1).residues == induce(l2).residues
 
 
 class TestVerify:
     def test_smallest_fan_yes(self):
-        v = verify(labeled(fan(1, 2), (1, 2, 3)))
+        v = verify(EdgeLabeling(fan(1, 2), (1, 2, 3)))
         assert v.edge_graceful
         assert v.witness is None
 
     def test_single_edge_no_with_witness(self):
-        v = verify(labeled(path(2), (1,)))
+        v = verify(EdgeLabeling(path(2), (1,)))
         assert not v.edge_graceful
         assert v.induced.residues == (1, 1)
         assert v.witness == (0, 1)
 
     def test_cycle5_yes(self):
-        v = verify(labeled(cycle(5), (1, 2, 3, 4, 5)))
+        v = verify(EdgeLabeling(cycle(5), (1, 2, 3, 4, 5)))
         assert v.edge_graceful
 
     def test_yes_means_residues_cover_range(self):
@@ -109,12 +130,12 @@ class TestVerify:
             (fan(1, 2), (1, 2, 3)),
             (cycle(5), (1, 2, 3, 4, 5)),
         ]:
-            v = verify(labeled(g, labels))
+            v = verify(EdgeLabeling(g, labels))
             assert v.edge_graceful
             assert sorted(v.induced.residues) == list(range(g.p))
 
     def test_one_vertex_graph_vacuously_graceful(self):
-        v = verify(labeled(path(1), ()))
+        v = verify(EdgeLabeling(path(1), ()))
         assert v.edge_graceful
         assert v.induced.residues == (0,)
 
@@ -124,7 +145,7 @@ class TestVerify:
             (fan(1, 2), (1, 2, 3)),
             (cycle(5), (1, 2, 3, 4, 5)),
         ]:
-            assert verify(labeled(g, labels)).edge_graceful
+            assert verify(EdgeLabeling(g, labels)).edge_graceful
             assert lo_check(g.p, g.q).divides
 
 
@@ -135,7 +156,7 @@ class TestHandshakeCongruence:
             g = random_simple_graph(rng)
             labels = list(range(1, g.q + 1))
             rng.shuffle(labels)
-            res = induce(labeled(g, labels)).residues
+            res = induce(EdgeLabeling(g, labels)).residues
             assert sum(res) % g.p == g.q * (g.q + 1) % g.p
 
     @given(st.data())
@@ -146,5 +167,5 @@ class TestHandshakeCongruence:
         edges = data.draw(st.permutations(pairs))[:q]
         labels = data.draw(st.permutations(list(range(1, q + 1))))
         g = make_graph(p, edges)
-        res = induce(labeled(g, labels)).residues
+        res = induce(EdgeLabeling(g, labels)).residues
         assert sum(res) % p == q * (q + 1) % p

@@ -249,14 +249,29 @@ class TestSymmetryBreaking:
 
 
 class TestDegenerateInputs:
-    def test_single_vertex_graph_reports_no_solution(self):
-        out = search(path(1))
-        assert out.solution_count == 0
-        assert out.exhausted
+    def test_single_vertex_graph_has_the_empty_labeling(self):
+        # also the vertexless graph: verify finds the empty labeling graceful
+        for g in (path(1), make_graph(0, [])):
+            empty = EdgeLabeling(g, ())
+            assert verify(empty).edge_graceful
+            for mode, solutions, exhausted in [("first", (empty,), False),
+                                               ("all", (empty,), True),
+                                               ("count", (), True)]:
+                out = search(g, SearchOptions(mode=mode))
+                assert out.solutions == solutions
+                assert (out.solution_count, out.nodes_expanded, out.exhausted) == (
+                    1, 0, exhausted)
+            assert not search(g, SearchOptions(mode="count", limit=1)).exhausted
 
-    def test_edgeless_multi_vertex_graph_rejected(self):
-        with pytest.raises(ValueError, match="no edges"):
-            search(make_graph(3, []))
+    def test_edgeless_multi_vertex_graph_refuted(self):
+        for p in (2, 3, 7):
+            g = make_graph(p, [])
+            assert not verify(EdgeLabeling(g, ())).edge_graceful
+            for mode in ("first", "all", "count"):
+                out = search(g, SearchOptions(mode=mode))
+                assert (out.solutions, out.solution_count, out.exhausted) == ((), 0, True)
+        # refuted before anything of size p is built
+        assert search(make_graph(10**18, [])).exhausted
 
     def test_isolated_vertices_collide(self):
         # one edge plus two isolated vertices: residues 0 repeat, no labeling
