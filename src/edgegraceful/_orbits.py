@@ -1,16 +1,18 @@
-"""The automorphism search behind ``graphs.edge_orbits``.
+"""Edge orbits of a graph, from an automorphism search.
 
 It is a module of its own so that programs which never ask for edge orbits
-do not pay for compiling it when ``edgegraceful`` is imported.
+do not pay for compiling it: ``search`` imports it only in mode "count", and
+``edgegraceful.edge_orbits`` loads it on first access.
 """
 
 from __future__ import annotations
 
 from .graphs import Edge, Graph
 
-# neighbour visits plus list entries of partition copies that edge_orbits may
-# spend before it stops looking for automorphisms; a copy is four lists of p
-# entries, so this also caps the memory the first path and the stack hold
+# neighbour visits, neighbourhood comparisons, automorphism merges and list
+# entries of partition copies that edge_orbits may spend before it stops
+# looking for automorphisms; a copy is four lists of p entries, so this also
+# caps the memory the first path and the stack hold
 ORBIT_WORK_LIMIT = 1_000_000
 
 
@@ -32,8 +34,24 @@ def _union(parent: list[int], a: int, b: int) -> None:
         parent[max(ra, rb)] = min(ra, rb)
 
 
-def edge_orbit_ids(graph: Graph) -> list[int]:
-    """``graphs.edge_orbits``: see there."""
+def edge_orbits(graph: Graph) -> list[int]:
+    """Orbit id of each edge: the smallest edge index found in its orbit.
+
+    Two edges share an id only when vertex permutations that were checked,
+    edge by edge, to be automorphisms link them, so edges of different orbits
+    never share an id.  The automorphisms come from colour refinement with
+    individualisation.  The first path individualises the first vertex of the
+    smallest non-singleton cell until every cell is a singleton.  Then, level
+    by level from the deepest, each other vertex of that level's cell whose
+    orbit is not yet known is tried in the first vertex's place: if the two
+    are twins (equal neighbourhoods apart from each other) their transposition
+    is the automorphism, and otherwise the subtree below it is searched for a
+    leaf that an automorphism maps the first leaf onto.  The subtree searches
+    use an explicit stack, not recursion.  Once the work passes
+    ``ORBIT_WORK_LIMIT`` the search stops, and edges that no automorphism
+    found so far links keep separate ids, so the orbits may then be finer
+    than the true ones, never coarser.
+    """
     edge_parent = list(range(graph.q))
     if graph.q > 1:
         try:
@@ -107,10 +125,15 @@ def _merge_orbits(graph: Graph, edge_parent: list[int]) -> None:
         edge_index[u, v] = edge_index[v, u] = i
     work = 0
 
+    def spend(amount: int) -> None:
+        nonlocal work
+        work += amount
+        if work > ORBIT_WORK_LIMIT:
+            raise _OutOfWork
+
     def child(part, v):
         """A refined copy of ``part`` with v split off the front of its cell,
         and the cell start at each position, which corresponding partitions share."""
-        nonlocal work
         lab, pos, cell_of, cell_end = part = tuple(x[:] for x in part)
         s, i = cell_of[v], pos[v]
         lab[s], lab[i] = v, lab[s]
@@ -118,9 +141,7 @@ def _merge_orbits(graph: Graph, edge_parent: list[int]) -> None:
         cell_end[s + 1], cell_end[s] = cell_end[s], s + 1
         for x in lab[s + 1:cell_end[s + 1]]:
             cell_of[x] = s + 1
-        work += _refine(adj, part, [s]) + 4 * p  # four lists copied
-        if work > ORBIT_WORK_LIMIT:
-            raise _OutOfWork
+        spend(_refine(adj, part, [s]) + 4 * p)  # four lists copied
         return part, [cell_of[x] for x in lab]
 
     def target_cell(part) -> int:
@@ -140,7 +161,7 @@ def _merge_orbits(graph: Graph, edge_parent: list[int]) -> None:
         levels.append((part, cs))
         part, shape = child(part, part[0][cs])
         shapes.append(shape)
-    leaf = part[0]
+    leaf, leaf_pos = part[0], part[1]
     vertex_parent = list(range(p))
 
     def merge_if_automorphism(lab: list[int]) -> bool:
@@ -155,6 +176,17 @@ def _merge_orbits(graph: Graph, edge_parent: list[int]) -> None:
         for v in range(p):
             _union(vertex_parent, v, perm[v])
         return True
+
+    def merge_if_twins(a: int, b: int) -> bool:
+        """Merge the transposition of a and b if N(a) - {b} == N(b) - {a},
+        which makes it an automorphism (the twin rule of McKay and Piperno)."""
+        spend(len(adj[a]) + len(adj[b]))
+        if set(adj[a]) - {b} != set(adj[b]) - {a}:
+            return False
+        lab = leaf[:]
+        lab[leaf_pos[a]], lab[leaf_pos[b]] = b, a
+        spend(p + graph.q)
+        return merge_if_automorphism(lab)
 
     def subtree_has_automorphism(depth: int, w: int) -> bool:
         """Search below ``levels[depth]`` with w individualised for a leaf
@@ -176,8 +208,9 @@ def _merge_orbits(graph: Graph, edge_parent: list[int]) -> None:
             stack.append((d + 1, part, part[0][t:part[3][t]]))
         return False
 
-    # automorphisms found at a level fix the first path's vertices above it,
-    # so at each level vertex_parent holds orbits of that level's stabiliser
+    # automorphisms found at a level fix the first path's vertices above it
+    # (a twin transposition moves two vertices of the level's cell only), so
+    # at each level vertex_parent holds orbits of that level's stabiliser
     for depth in range(len(levels) - 1, -1, -1):
         base, cs = levels[depth]
         anchor, *others = base[0][cs:base[3][cs]]
@@ -188,5 +221,5 @@ def _merge_orbits(graph: Graph, edge_parent: list[int]) -> None:
                 root == _find(vertex_parent, x) for x in rejected
             ):
                 continue
-            if not subtree_has_automorphism(depth, w):
+            if not merge_if_twins(anchor, w) and not subtree_has_automorphism(depth, w):
                 rejected.append(w)

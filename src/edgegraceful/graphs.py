@@ -1,4 +1,4 @@
-"""Simple undirected graphs, the deterministic family generators and edge orbits.
+"""Simple undirected graphs and the deterministic family generators.
 
 A graph is a vertex count ``p`` plus an ordered tuple of edges.  Edge order is
 part of every generator's contract: labelings are stored as arrays aligned
@@ -121,25 +121,3 @@ def path(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"path requires n >= 1, got {n}")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def edge_orbits(graph: Graph) -> list[int]:
-    """Orbit id of each edge: the smallest edge index found in its orbit.
-
-    Two edges share an id only when vertex permutations that were checked,
-    edge by edge, to be automorphisms link them, so edges of different orbits
-    never share an id.  The automorphisms come from colour refinement with
-    individualisation.  The first path individualises the first vertex of the
-    smallest non-singleton cell until every cell is a singleton.  Then, level
-    by level from the deepest, each other vertex of that level's cell whose
-    orbit is not yet known is individualised in its place, and the subtree
-    below it is searched for a leaf that an automorphism maps the first leaf
-    onto.  The subtree searches use an explicit stack, not recursion.  Once
-    the work passes ``_orbits.ORBIT_WORK_LIMIT`` the search stops, and edges
-    that no automorphism found so far links keep separate ids, so the orbits
-    may then be finer than the true ones, never coarser.
-    """
-    # the search lives in its own module, compiled only when first needed
-    from ._orbits import edge_orbit_ids
-
-    return edge_orbit_ids(graph)

@@ -33,14 +33,20 @@ class LoReport:
 
 
 def lo_check(p: int, q: int) -> LoReport:
-    """Evaluate the divisibility condition for a (p, q) graph."""
+    """Evaluate the divisibility condition for a (p, q) graph.
+
+    Every p >= 0 that ``Graph`` accepts is screened.  Since 0 divides only 0,
+    the vertexless graph passes exactly when q = 0, as it has the empty
+    labeling; counts below zero raise ValueError.
+    """
     require_int("vertex and edge counts", p, q)
-    if p < 1:
-        raise ValueError(f"vertex count must be positive, got {p}")
+    if p < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {p}")
     if q < 0:
         raise ValueError(f"edge count must be nonnegative, got {q}")
     residual = q * q + q - p * (p - 1) // 2
-    return LoReport(p=p, q=q, residual=residual, divides=residual % p == 0)
+    divides = residual % p == 0 if p else residual == 0
+    return LoReport(p=p, q=q, residual=residual, divides=divides)
 
 
 def classify_fans(n_max: int) -> list[int]:

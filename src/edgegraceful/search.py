@@ -49,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
-from .graphs import Graph, edge_orbits, require_int
+from .graphs import Graph, require_int
 from .labeling import EdgeLabeling
 
 MODES = ("first", "all", "count")
@@ -174,7 +174,10 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     sym_label, forced_pos, orbit_size_at = 0, -1, []  # 0: no symmetry breaking
     if not collect and q < 2 * p:
         # symmetry breaking (module docstring): sym_label, alone in its class,
-        # goes on each orbit's first-placed edge only
+        # goes on each orbit's first-placed edge only; the orbit search is
+        # loaded here, so modes "first" and "all" never compile it
+        from ._orbits import edge_orbits
+
         sym_label = max(q - p, 0) + 1
         orbit = edge_orbits(graph)
         orbit_size = Counter(orbit)

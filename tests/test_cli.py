@@ -438,6 +438,20 @@ class TestPipeline:
                                         "search", "-", "--mode", "count")
         assert (code, out, err) == (1, "solutions = 0\n", "")
 
+    @pytest.mark.parametrize("k, lo_code, search_code", [(0, 0, 0), (1, 0, 0), (2, 1, 1), (3, 0, 1)])
+    def test_edgeless_graphs_keep_the_screen_necessary(self, capsys, monkeypatch,
+                                                        k, lo_code, search_code):
+        # residual -k(k-1)/2: 0 | 0, 1 | 0, 2 does not divide -1, 3 | -3
+        doc = json.dumps({"p": k, "edges": []})
+        code, out, _ = run_with_stdin(capsys, monkeypatch, doc, "lo", "-", "--format", "json")
+        assert code == lo_code
+        assert json.loads(out)["divides"] is (code == 0)
+        code, _, err = run_with_stdin(capsys, monkeypatch, doc, "search", "-")
+        assert code == search_code
+        assert ("divisibility" in err) is (lo_code == 1)
+        # the screen is necessary: whatever search finds, lo passes
+        assert search_code == 1 or lo_code == 0
+
     def test_file_input(self, capsys, tmp_path):
         gpath = tmp_path / "graph.json"
         gpath.write_text(json.dumps(graph_to_doc(make_graph(3, [(0, 1), (1, 2), (2, 0)]))))

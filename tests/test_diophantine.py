@@ -397,11 +397,13 @@ class TestLazyImport:
         subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
 
     def test_cli_subcommands_without_the_solver_do_not_load_it(self, tmp_path):
-        from edgegraceful import fan, search
+        from edgegraceful import cycle, fan, search
         from edgegraceful.cli import graph_to_doc, labeling_to_doc
 
         graph_doc = tmp_path / "graph.json"
         graph_doc.write_text(json.dumps(graph_to_doc(fan(1, 3))))
+        cycle_doc = tmp_path / "cycle.json"
+        cycle_doc.write_text(json.dumps(graph_to_doc(cycle(5))))
         labeling_doc = tmp_path / "labeling.json"
         labeling_doc.write_text(json.dumps(labeling_to_doc(search(fan(1, 3)).solutions[0])))
         code = (
@@ -411,10 +413,15 @@ class TestLazyImport:
             "    codes = [cli.main(['gen', 'fan', '--n', '3']),\n"
             "             cli.main(['lo', '--p', '4', '--q', '5']),\n"
             f"             cli.main(['search', {str(graph_doc)!r}]),\n"
+            f"             cli.main(['search', {str(graph_doc)!r}, '--mode', 'all']),\n"
             f"             cli.main(['verify', {str(labeling_doc)!r}])]\n"
-            "assert codes == [0, 0, 0, 0], codes\n"
+            "assert codes == [0, 0, 0, 0, 0], codes\n"
             "assert 'edgegraceful.diophantine' not in sys.modules\n"
             "assert 'fractions' not in sys.modules\n"
+            "assert 'edgegraceful._orbits' not in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['search', {str(cycle_doc)!r}, '--mode', 'count']) == 0\n"
+            "assert 'edgegraceful._orbits' in sys.modules\n"
             "fan_eq = ['dioph', '7', '-2', '0', '-5', '-2', '0']\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [cli.main(fan_eq), cli.main(fan_eq + ['--trace']),\n"

@@ -236,6 +236,12 @@ class TestEdgeOrbits:
         star = make_graph(n + 1, [(0, i) for i in range(1, n + 1)])
         assert len(edge_orbits(star)) == n
 
+    def test_star_leaves_are_twins(self):
+        # every transposition of two leaves is an automorphism; networkx would
+        # enumerate all 100! of them, so the one orbit is asserted directly
+        star = make_graph(101, [(0, i) for i in range(1, 101)])
+        assert set(edge_orbits(star)) == {0}
+
     @pytest.mark.parametrize("limit", [0, 150, 200, 400, 800])
     def test_out_of_work_leaves_orbits_finer(self, monkeypatch, limit):
         monkeypatch.setattr(_orbits, "ORBIT_WORK_LIMIT", limit)

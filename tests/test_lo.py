@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from edgegraceful import classify_fans, fan, lo_check
+from edgegraceful import LoReport, classify_fans, fan, lo_check
 from support import fan_scan_oracle
 
 
@@ -41,9 +41,16 @@ class TestLoCheck:
         assert report.residual == -43
         assert not report.divides
 
-    def test_rejects_nonpositive_p(self):
+    def test_rejects_negative_p(self):
         with pytest.raises(ValueError):
-            lo_check(0, 3)
+            lo_check(-1, 3)
+        with pytest.raises(ValueError):
+            lo_check(-1, 0)
+
+    def test_vertexless_graph(self):
+        # 0 divides only 0: the empty graph passes, p = 0 with edges cannot
+        assert lo_check(0, 0) == LoReport(0, 0, 0, True)
+        assert lo_check(0, 3).divides is False
 
     def test_rejects_negative_q(self):
         with pytest.raises(ValueError):
