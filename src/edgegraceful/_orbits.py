@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from .graphs import Edge, Graph
 
-# neighbour visits, neighbourhood comparisons, automorphism merges and list
-# entries of partition copies that edge_orbits may spend before it stops
-# looking for automorphisms; a copy is four lists of p entries, so this also
-# caps the memory the first path and the stack hold
+# neighbour visits, automorphism merges and list entries of partition copies
+# that edge_orbits may spend before it stops looking for automorphisms; a copy
+# is four lists of p entries, so this also caps the memory the first path and
+# the stack hold; the twin pass is linear in the graph and is not charged
 ORBIT_WORK_LIMIT = 1_000_000
 
 
@@ -39,18 +39,22 @@ def edge_orbits(graph: Graph) -> list[int]:
 
     Two edges share an id only when vertex permutations that were checked,
     edge by edge, to be automorphisms link them, so edges of different orbits
-    never share an id.  The automorphisms come from colour refinement with
+    never share an id.  Twins, vertices with equal open or equal closed
+    neighbourhoods, are found first, and the transposition of each twin with
+    the first vertex of its class is merged: it is always an automorphism.
+    The other automorphisms come from colour refinement with
     individualisation.  The first path individualises the first vertex of the
-    smallest non-singleton cell until every cell is a singleton.  Then, level
-    by level from the deepest, each other vertex of that level's cell whose
-    orbit is not yet known is tried in the first vertex's place: if the two
-    are twins (equal neighbourhoods apart from each other) their transposition
-    is the automorphism, and otherwise the subtree below it is searched for a
-    leaf that an automorphism maps the first leaf onto.  The subtree searches
-    use an explicit stack, not recursion.  Once the work passes
-    ``ORBIT_WORK_LIMIT`` the search stops, and edges that no automorphism
-    found so far links keep separate ids, so the orbits may then be finer
-    than the true ones, never coarser.
+    smallest cell that has more than one vertex and does not lie inside one
+    twin class, until no such cell is left; a cell inside one twin class is
+    never split, since any order of its vertices is reached by twin
+    transpositions.  Then, level by level from the deepest, each other vertex
+    of that level's cell whose orbit is not yet known is tried in the first
+    vertex's place, and the subtree below it is searched for a leaf that an
+    automorphism maps the first leaf onto.  The subtree searches use an
+    explicit stack, not recursion.  Once the work passes ``ORBIT_WORK_LIMIT``
+    the search stops, and edges that no automorphism found so far links keep
+    separate ids, so the orbits may then be finer than the true ones, never
+    coarser.
     """
     edge_parent = list(range(graph.q))
     if graph.q > 1:
@@ -123,6 +127,21 @@ def _merge_orbits(graph: Graph, edge_parent: list[int]) -> None:
         adj[u].append(v)
         adj[v].append(u)
         edge_index[u, v] = edge_index[v, u] = i
+    # twin[v] is the first vertex of v's class of equal open neighbourhoods
+    # N(v) or equal closed ones N[v]; a vertex has twins of one kind only, so
+    # t and v are still roots of vertex_parent when they are merged
+    twin, vertex_parent = list(range(p)), list(range(p))
+    for closed in (False, True):
+        first: dict[frozenset[int], int] = {}
+        for v, nbrs in enumerate(adj):
+            t = first.setdefault(frozenset(nbrs + [v] if closed else nbrs), v)
+            if t != v:
+                twin[v] = vertex_parent[v] = t
+                # the transposition of t and v moves only the edges at t and v
+                for x in nbrs:
+                    if x != t:
+                        _union(edge_parent, edge_index[v, x], edge_index[t, x])
+
     work = 0
 
     def spend(amount: int) -> None:
@@ -145,12 +164,14 @@ def _merge_orbits(graph: Graph, edge_parent: list[int]) -> None:
         return part, [cell_of[x] for x in lab]
 
     def target_cell(part) -> int:
-        """First smallest cell with more than one vertex, or -1."""
-        best, size, s, cell_end = -1, p + 1, 0, part[3]
+        """First smallest cell with more than one vertex that does not lie
+        inside one twin class, or -1."""
+        best, size, s, lab, cell_end = -1, p + 1, 0, part[0], part[3]
         while s < p:
-            if 1 < cell_end[s] - s < size:
-                best, size = s, cell_end[s] - s
-            s = cell_end[s]
+            e = cell_end[s]
+            if 1 < e - s < size and any(twin[v] != twin[lab[s]] for v in lab[s + 1:e]):
+                best, size = s, e - s
+            s = e
         return best
 
     part = (list(range(p)), list(range(p)), [0] * p, [p] * p)
@@ -161,8 +182,7 @@ def _merge_orbits(graph: Graph, edge_parent: list[int]) -> None:
         levels.append((part, cs))
         part, shape = child(part, part[0][cs])
         shapes.append(shape)
-    leaf, leaf_pos = part[0], part[1]
-    vertex_parent = list(range(p))
+    leaf = part[0]
 
     def merge_if_automorphism(lab: list[int]) -> bool:
         perm = [0] * p
@@ -176,17 +196,6 @@ def _merge_orbits(graph: Graph, edge_parent: list[int]) -> None:
         for v in range(p):
             _union(vertex_parent, v, perm[v])
         return True
-
-    def merge_if_twins(a: int, b: int) -> bool:
-        """Merge the transposition of a and b if N(a) - {b} == N(b) - {a},
-        which makes it an automorphism (the twin rule of McKay and Piperno)."""
-        spend(len(adj[a]) + len(adj[b]))
-        if set(adj[a]) - {b} != set(adj[b]) - {a}:
-            return False
-        lab = leaf[:]
-        lab[leaf_pos[a]], lab[leaf_pos[b]] = b, a
-        spend(p + graph.q)
-        return merge_if_automorphism(lab)
 
     def subtree_has_automorphism(depth: int, w: int) -> bool:
         """Search below ``levels[depth]`` with w individualised for a leaf
@@ -208,9 +217,10 @@ def _merge_orbits(graph: Graph, edge_parent: list[int]) -> None:
             stack.append((d + 1, part, part[0][t:part[3][t]]))
         return False
 
-    # automorphisms found at a level fix the first path's vertices above it
-    # (a twin transposition moves two vertices of the level's cell only), so
-    # at each level vertex_parent holds orbits of that level's stabiliser
+    # automorphisms found at a level fix the first path's vertices above it,
+    # and a twin link through a first-path vertex conjugates to a twin
+    # transposition that fixes the path, so at each level vertex_parent holds
+    # orbits of that level's stabiliser
     for depth in range(len(levels) - 1, -1, -1):
         base, cs = levels[depth]
         anchor, *others = base[0][cs:base[3][cs]]
@@ -221,5 +231,5 @@ def _merge_orbits(graph: Graph, edge_parent: list[int]) -> None:
                 root == _find(vertex_parent, x) for x in rejected
             ):
                 continue
-            if not merge_if_twins(anchor, w) and not subtree_has_automorphism(depth, w):
+            if not subtree_has_automorphism(depth, w):
                 rejected.append(w)

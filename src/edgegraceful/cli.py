@@ -27,8 +27,10 @@ from .search import SearchOptions, search
 
 OK, NO, USAGE = 0, 1, 2
 
-# verify builds and prints one residue per vertex, so its documents are capped
-MAX_VERIFY_VERTICES = 10**6
+# verify builds and prints one residue per vertex, and gen one pair per edge,
+# so verify's graphs are capped at this many vertices and gen's at this many
+# vertices and edges
+MAX_GRAPH_SIZE = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +67,9 @@ def labeling_from_doc(doc) -> EdgeLabeling:
         # by file reference
         graph_field = _read_json(graph_field)
     graph = graph_from_doc(graph_field)
-    if graph.p > MAX_VERIFY_VERTICES:
+    if graph.p > MAX_GRAPH_SIZE:
         raise ValueError(
-            f"labeling documents are limited to {MAX_VERIFY_VERTICES} vertices, "
+            f"labeling documents are limited to {MAX_GRAPH_SIZE} vertices, "
             f"got {graph.p}"
         )
     labels = doc["labels"]
@@ -105,12 +107,20 @@ def _read_json(source: str):
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
+    m, n = args.m, args.n
+    size = max(m + n, m * n + n - 1) if args.family == "fan" else n  # max(p, q)
+    if size > MAX_GRAPH_SIZE:
+        # refused before anything is built
+        raise ValueError(
+            f"gen documents are limited to {MAX_GRAPH_SIZE} vertices and edges, "
+            f"got {size}"
+        )
     if args.family == "fan":
-        graph = fan(args.m, args.n)
+        graph = fan(m, n)
     elif args.family == "cycle":
-        graph = cycle(args.n)
+        graph = cycle(n)
     else:
-        graph = path(args.n)
+        graph = path(n)
     print(json.dumps(graph_to_doc(graph)))
     return OK
 

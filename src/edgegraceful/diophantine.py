@@ -242,9 +242,6 @@ def _factor_pair_numerators(form: ReducedForm):
         raise ValueError("factor-pair method requires c = 0")
     if eq.b == 0:
         raise ValueError("factor-pair method requires b != 0 (D = b^2 would be 0)")
-    if form.D <= 0 or math.isqrt(form.D) ** 2 != form.D:
-        # a form from reduce() with c = 0 has D = b^2; only hand-built ones fail
-        raise ValueError("factor-pair method requires D to be a positive perfect square")
     if form != reduce(eq):
         # the closed forms rest on D = b^2 and E = bd - 2ae
         raise ValueError("reduced form does not match reduce(form.equation)")

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -119,6 +120,17 @@ class TestGen:
     def test_round_trip_through_parse(self, capsys):
         code, out, _ = run(capsys, "gen", "fan", "--m", "2", "--n", "3")
         assert graph_from_doc(json.loads(out)) == fan(2, 3)
+
+    @pytest.mark.parametrize("argv", [["path", "--n", "1000000001"],
+                                      ["fan", "--m", "1000", "--n", "1000"]])
+    def test_oversized_graph_is_refused_before_it_is_built(self, capsys, argv):
+        # p = 10^9 + 1, and q = 1 000 999 for the fan: both over MAX_GRAPH_SIZE
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "limited to 1000000 vertices and edges" in err
 
 
 class TestLo:

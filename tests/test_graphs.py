@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from edgegraceful import Graph, cycle, edge_orbits, fan, make_graph, path
 from edgegraceful import _orbits
-from support import automorphism_edge_orbits, junk_values, shuffled_copy, small_corpus
+from support import (
+    automorphism_edge_orbits, junk_values, random_simple_graph, shuffled_copy, small_corpus,
+)
 
 _rng = random.Random(4)
 SHUFFLED_FAMILIES = (
@@ -29,6 +31,36 @@ REGULAR_GRAPHS = [
                     (2, 7), (2, 8), (2, 9), (3, 6), (3, 8), (3, 9), (3, 10), (4, 6), (4, 8),
                     (4, 10), (5, 9), (6, 7), (7, 10)]),
 ]
+
+
+def with_clones(graph: Graph, rng: random.Random) -> Graph:
+    """``graph`` with up to three vertices added, each an open twin (same
+    neighbours) or a closed twin (same neighbours and adjacent) of a vertex."""
+    p, edges = graph.p, list(graph.edges)
+    for _ in range(rng.randint(0, 3)):
+        v = rng.randrange(p)
+        nbrs = [x for e in edges if v in e for x in e if x != v]
+        edges += [(p, x) for x in nbrs] + ([(p, v)] if rng.random() < 0.5 else [])
+        p += 1
+    return make_graph(p, edges)
+
+
+_twin_rng = random.Random(5)
+# graphs whose automorphisms include twin transpositions: star leaves, fan
+# hubs, bipartite parts, clones, and isolated vertices
+TWIN_GRAPHS = (
+    [with_clones(random_simple_graph(_twin_rng, max_p=6), _twin_rng) for _ in range(40)]
+    + [shuffled_copy(g, _twin_rng) for g in (
+        make_graph(5, [(i, j) for i in range(2) for j in range(2, 5)]),  # K_{2,3}
+        make_graph(6, [(i, j) for i in range(3) for j in range(3, 6)]),  # K_{3,3}
+        fan(2, 4),
+        fan(3, 3),
+        make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]),  # C_4 with a pendant
+        make_graph(6, [(0, 1), (1, 2)]),
+        make_graph(6, [(0, 1), (1, 2), (2, 0)]),
+        make_graph(7, [(0, 1), (2, 3), (4, 5)]),
+    )]
+)
 
 
 def orbit_partition(ids: list[int]) -> set[frozenset[int]]:
@@ -214,7 +246,9 @@ class TestCycleAndPath:
 class TestEdgeOrbits:
     """edge_orbits against the orbits of every automorphism networkx finds."""
 
-    @pytest.mark.parametrize("g", small_corpus(n_random=50) + SHUFFLED_FAMILIES + REGULAR_GRAPHS)
+    @pytest.mark.parametrize(
+        "g", small_corpus(n_random=50) + SHUFFLED_FAMILIES + REGULAR_GRAPHS + TWIN_GRAPHS
+    )
     def test_matches_automorphism_orbits(self, g):
         assert orbit_partition(edge_orbits(g)) == automorphism_edge_orbits(g)
 
@@ -232,15 +266,20 @@ class TestEdgeOrbits:
         n = 3 * sys.getrecursionlimit()
         assert len(set(edge_orbits(path(n)))) == n // 2
         assert set(edge_orbits(cycle(n))) == {0}
-        # a star's first path individualises one leaf per level
+        # a star's leaves are one twin cell, which the first path never splits
         star = make_graph(n + 1, [(0, i) for i in range(1, n + 1)])
-        assert len(edge_orbits(star)) == n
-
-    def test_star_leaves_are_twins(self):
-        # every transposition of two leaves is an automorphism; networkx would
-        # enumerate all 100! of them, so the one orbit is asserted directly
-        star = make_graph(101, [(0, i) for i in range(1, 101)])
         assert set(edge_orbits(star)) == {0}
+
+    @pytest.mark.parametrize("n", [100, 500, 1000])
+    def test_star_leaves_are_twins(self, n):
+        # every transposition of two leaves is an automorphism; networkx would
+        # enumerate all n! of them, so the one orbit is asserted directly
+        star = make_graph(n + 1, [(0, i) for i in range(1, n + 1)])
+        assert set(edge_orbits(star)) == {0}
+
+    def test_complete_bipartite_parts_are_twins(self):
+        k = make_graph(60, [(i, j) for i in range(30) for j in range(30, 60)])
+        assert set(edge_orbits(k)) == {0}
 
     @pytest.mark.parametrize("limit", [0, 150, 200, 400, 800])
     def test_out_of_work_leaves_orbits_finer(self, monkeypatch, limit):
