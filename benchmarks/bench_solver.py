@@ -1,23 +1,29 @@
 #!/usr/bin/env python3
-"""Time the factor-pair solver of two versions of the package on one machine.
+"""Time the factor-pair solver and the search kernel of two versions of the
+package on one machine.
 
 Usage (from the repository root):
 
     python3 benchmarks/bench_solver.py --before REV --out BENCH.json
 
 The before side is the ``src/`` of git revision REV, extracted with
-``git archive``; the after side is the working tree's ``src/``.  The equations are the 102 of ``perfbench/expected.json`` (the
-F_{m,n} equations for m = 1..6 and the 96 random ones), which this script
-only reads.  Each side runs in its own child process, the two alternating
-which goes first, and times ``integer_solutions(eq)`` and
-``solve_factor_pairs(reduce(eq))`` per equation with ``time.perf_counter``.
-The row and solution counts are deterministic and must agree on both sides;
-the script exits 1 when they do not.
+``git archive``; the after side is the working tree's ``src/``.  Each side
+runs in its own child process, the two alternating which goes first, and
+times two layers with ``time.perf_counter``:
 
-``perfbench/run.py --trace 1`` reports the same layer only as totals over
-however many tasks a timed run completes, both functions together, so its
-counters differ between a slower and a faster side; this script times each
-function on each equation a fixed number of times.
+- solver: ``integer_solutions(eq)`` and ``solve_factor_pairs(reduce(eq))``
+  per equation of ``perfbench/expected.json`` (the F_{m,n} equations for
+  m = 1..6 and the 96 random ones), which this script only reads;
+- search: ``search`` in modes "count" and "first" on ``SEARCH_GRAPHS``,
+  where mode "first" is exhaustive on the graphs that have no labeling.
+
+Row, solution and node counts and the first-mode witnesses are deterministic
+and must agree on both sides; the script exits 1 when they do not.
+
+``perfbench/run.py --trace 1`` reports each layer only as totals over
+however many tasks a timed run completes, so its counters differ between a
+slower and a faster side; this script makes a fixed number of calls on fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -37,6 +43,12 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = ROOT / "perfbench" / "expected.json"
 ROUNDS = 6  # child processes per side
 REPEATS = 5  # calls per equation per child
+SEARCH_GRAPHS = (("F_1_5", "fan", (1, 5)), ("F_1_6", "fan", (1, 6)), ("F_2_4", "fan", (2, 4)),
+                 ("C_9", "cycle", (9,)), ("C_11", "cycle", (11,)), ("P_10", "path", (10,)),
+                 ("K_5", "complete", (5,)))
+SEARCH_MODES = ("count", "first")
+SOLVER_COUNTS = ("rows", "integral_rows", "solutions")
+SEARCH_COUNTS = ("solution_count", "nodes_expanded", "exhausted", "witness")
 
 
 def equations() -> list[tuple[str, list[int]]]:
@@ -47,13 +59,33 @@ def equations() -> list[tuple[str, list[int]]]:
     return named
 
 
-def child(src: str) -> None:
-    """Print, per equation, the median call times (s) and the counts."""
-    sys.path.insert(0, src)
-    import edgegraceful as eg
+def search_graph(eg, family: str, args):
+    if family == "complete":
+        (n,) = args
+        return eg.Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return getattr(eg, family)(*args)
 
-    if not Path(eg.__file__).resolve().is_relative_to(Path(src).resolve()):
-        raise RuntimeError(f"imported edgegraceful from {eg.__file__}, not from {src}")
+
+def time_search(eg) -> list[dict]:
+    """Per graph and mode, the time (s) of one call, the counts and the witness."""
+    out = []
+    for name, family, args in SEARCH_GRAPHS:
+        graph = search_graph(eg, family, args)
+        for mode in SEARCH_MODES:
+            t0 = time.perf_counter()  # one call: F_{1,6} first mode alone takes about 1 s
+            result = eg.search(graph, eg.SearchOptions(mode=mode))
+            elapsed = time.perf_counter() - t0
+            out.append({
+                "graph": name, "mode": mode, "solution_count": result.solution_count,
+                "nodes_expanded": result.nodes_expanded, "exhausted": result.exhausted,
+                "witness": [list(s.labels) for s in result.solutions[:1]],
+                "search_s": elapsed,
+            })
+    return out
+
+
+def time_solver(eg) -> list[dict]:
+    """Per equation, the median call times (s) and the counts."""
     out = []
     for name, coeffs in equations():
         eq = eg.QuadraticDiophantine(*coeffs)
@@ -72,7 +104,17 @@ def child(src: str) -> None:
             "integer_solutions_s": statistics.median(solve),
             "solve_factor_pairs_s": statistics.median(rows),
         })
-    json.dump(out, sys.stdout)
+    return out
+
+
+def child(src: str) -> None:
+    """Print both layers' rows as one JSON object."""
+    sys.path.insert(0, src)
+    import edgegraceful as eg
+
+    if not Path(eg.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise RuntimeError(f"imported edgegraceful from {eg.__file__}, not from {src}")
+    json.dump({"solver": time_solver(eg), "search": time_search(eg)}, sys.stdout)
 
 
 def git(*args: str) -> str:
@@ -88,12 +130,41 @@ def extract(rev: str, into: Path) -> str:
     return str(into / "src")
 
 
-def run_side(src: str) -> list[dict]:
+def run_side(src: str) -> dict:
     proc = subprocess.run(
         [sys.executable, __file__, "--child", src],
         check=True, capture_output=True, text=True,
     )
     return json.loads(proc.stdout)
+
+
+def compare(runs: dict, layer: str, keys: tuple[str, ...], counts: tuple[str, ...],
+            metrics: tuple[str, ...]) -> tuple[list[dict], list[str]]:
+    """One row per item of the layer: each side's counts from its first child
+    and per metric the median over its children; and the items whose counts
+    differ between the sides."""
+    rows, mismatches = [], []
+    for i, item in enumerate(runs["before"][0][layer]):
+        row = {key: item[key] for key in keys}
+        for side in ("before", "after"):
+            first = runs[side][0][layer][i]
+            row[side] = {key: first[key] for key in counts}
+            for metric in metrics:
+                row[side][metric] = round(
+                    statistics.median(run[layer][i][metric] for run in runs[side]), 7)
+        if any(row["before"][k] != row["after"][k] for k in counts):
+            mismatches.append(" ".join(str(row[key]) for key in keys))
+        rows.append(row)
+    return rows, mismatches
+
+
+def totals(rows: list[dict], metrics: tuple[str, ...]) -> dict:
+    total = {side: {metric: round(sum(row[side][metric] for row in rows), 6)
+                    for metric in metrics}
+             for side in ("before", "after")}
+    total["speedup"] = {metric: round(total["before"][metric] / total["after"][metric], 2)
+                        for metric in metrics}
+    return total
 
 
 def main() -> int:
@@ -117,34 +188,14 @@ def main() -> int:
             for side in order:
                 runs[side].append(run_side(sides[side]))
 
-    counts = ("rows", "integral_rows", "solutions")
-    rows, mismatches = [], []
-    for i, (name, coeffs) in enumerate(equations()):
-        row = {"equation": name, "coeffs": coeffs}
-        for side in ("before", "after"):
-            first = runs[side][0][i]
-            row[side] = {key: first[key] for key in counts}
-            for metric in ("integer_solutions_s", "solve_factor_pairs_s"):
-                row[side][metric] = statistics.median(run[i][metric] for run in runs[side])
-        if any(row["before"][k] != row["after"][k] for k in counts):
-            mismatches.append(name)
-        rows.append(row)
-
-    def total(side: str, metric: str) -> float:
-        return sum(row[side][metric] for row in rows)
-
-    totals = {
-        side: {metric: round(total(side, metric), 6)
-               for metric in ("integer_solutions_s", "solve_factor_pairs_s")}
-        for side in ("before", "after")
-    }
-    for row in rows:
-        for side in ("before", "after"):
-            for metric in ("integer_solutions_s", "solve_factor_pairs_s"):
-                row[side][metric] = round(row[side][metric], 7)
+    solver_metrics = ("integer_solutions_s", "solve_factor_pairs_s")
+    solver_rows, solver_bad = compare(runs, "solver", ("equation", "coeffs"),
+                                      SOLVER_COUNTS, solver_metrics)
+    search_rows, search_bad = compare(runs, "search", ("graph", "mode"),
+                                      SEARCH_COUNTS, ("search_s",))
     record = {
         "what": "integer_solutions and solve_factor_pairs per equation of "
-                "perfbench/expected.json, before and after",
+                "perfbench/expected.json, and search per graph and mode, before and after",
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {platform.system()}, "
                    f"{len(os.sched_getaffinity(0))} CPUs available",
@@ -152,21 +203,23 @@ def main() -> int:
         "git_sha_after": f"working tree on {git('rev-parse', 'HEAD')}",
         "method": f"each side in its own child process, {ROUNDS} children per side "
                   f"alternating which goes first; per child, the median of {REPEATS} "
-                  "calls per equation; per equation, the median over the children; "
-                  "seconds",
-        "totals_s": totals,
-        "speedup": {metric: round(totals["before"][metric] / totals["after"][metric], 2)
-                    for metric in ("integer_solutions_s", "solve_factor_pairs_s")},
-        "counts_identical": not mismatches,
-        "rows": rows,
+                  "calls per equation and of 1 per graph and mode; "
+                  "per row, the median over the children; seconds",
+        "solver_totals_s": totals(solver_rows, solver_metrics),
+        "search_totals_s": totals(search_rows, ("search_s",)),
+        "counts_identical": not (solver_bad or search_bad),
+        "search_rows": [],
+        "solver_rows": [],
     }
-    # one line per equation keeps the file short enough to read
-    text = json.dumps({**record, "rows": []}, indent=1).replace(
-        '"rows": []', '"rows": [\n  ' + ",\n  ".join(json.dumps(row) for row in rows) + "\n ]"
-    )
+    # one line per row keeps the file short enough to read
+    text = json.dumps(record, indent=1)
+    for key, rows in (("search_rows", search_rows), ("solver_rows", solver_rows)):
+        text = text.replace(f'"{key}": []', f'"{key}": [\n  '
+                            + ",\n  ".join(json.dumps(row) for row in rows) + "\n ]")
     Path(args.out).write_text(text + "\n")
-    if mismatches:
-        print(f"row or solution counts differ on: {', '.join(mismatches)}", file=sys.stderr)
+    if solver_bad or search_bad:
+        print(f"counts or witnesses differ on: {', '.join(solver_bad + search_bad)}",
+              file=sys.stderr)
         return 1
     return 0
 

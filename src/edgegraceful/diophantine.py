@@ -110,7 +110,7 @@ def reduce(eq: QuadraticDiophantine) -> ReducedForm:
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 TRIAL_LIMIT = 1000  # trial division by 2, 3 and 6k +- 1 below this first
-RHO_STEP_LIMIT = 1 << 20  # Pollard-Brent iterations allowed per cofactor
+RHO_STEP_LIMIT = 1 << 20  # Pollard-Brent iterations per cofactor below 2^64
 _TRIAL_DIVISORS = (2, 3) + tuple(t + d for t in range(6, TRIAL_LIMIT, 6) for d in (-1, 1))
 
 
@@ -181,15 +181,18 @@ def _pollard_brent(n: int) -> int:
     """A factor 1 < d < n of the odd composite n, by Brent's variant of rho.
 
     Tries the maps y -> y^2 + c for c = 1, 2, ... until one splits n, and
-    raises ValueError after ``RHO_STEP_LIMIT`` iterations in all.  The
-    differences are multiplied up and tested with one gcd per batch of 128.
+    raises ValueError after ``RHO_STEP_LIMIT`` iterations in all, divided by
+    the size of n in 64-bit words: an iteration's cost grows with that size,
+    so the budget bounds time, not only iterations.  The differences are
+    multiplied up and tested with one gcd per batch of 128.
     """
+    budget = RHO_STEP_LIMIT // -(-n.bit_length() // 64)
     steps = 0
     c = 0
-    while steps < RHO_STEP_LIMIT:
+    while steps < budget:
         c += 1
         y, r, prod, g = 2, 1, 1, 1
-        while g == 1 and steps < RHO_STEP_LIMIT:
+        while g == 1 and steps < budget:
             x = y  # compared with the next r points of the sequence
             for _ in range(r):
                 y = (y * y + c) % n
@@ -212,7 +215,7 @@ def _pollard_brent(n: int) -> int:
         if 1 < g < n:
             return g
     raise ValueError(
-        f"no factor of {n} found in {RHO_STEP_LIMIT} Pollard-Brent iterations"
+        f"no factor of {n} found in {budget} Pollard-Brent iterations"
     )
 
 

@@ -14,10 +14,12 @@ the weight per leaf, mode "all" expands each leaf lazily into its labelings
 valid labelings, the one whose labels read in search order are smallest.
 
 A vertex's residue is finalized the moment its last incident edge gets a
-label; if the residue is already held by another finalized vertex the branch
-cannot lead to a valid labeling and is cut, so every leaf reached is valid.
-Edges are placed in ``completion_order``, which finalizes vertices as early
-as possible.  ``nodes_expanded`` counts placements in the class tree, not
+label.  Before a label is placed, the residues it would finalize are checked;
+if one is already held by another finalized vertex (or both endpoints would
+finalize the same residue) the label is rejected before any state changes,
+so every leaf reached is valid.  Edges are placed in ``completion_order``,
+which finalizes vertices as early as possible.  ``nodes_expanded`` counts
+the labels tried in the class tree, the rejected ones included, not
 labelings.
 
 Mode "count" also breaks the graph's symmetry when q < 2p.  Then the label
@@ -156,14 +158,16 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     order = completion_order(graph)
     edges = [graph.edges[i] for i in order]
 
-    # position at which each vertex sees its last incident edge
-    last_pos: dict[int, int] = {}
-    for pos, (u, v) in enumerate(edges):
-        last_pos[u] = pos
-        last_pos[v] = pos
-    completes_at: list[list[int]] = [[] for _ in range(q)]
-    for w, pos in last_pos.items():
-        completes_at[pos].append(w)
+    # whether the edge at each position is the last one of its u, of its v:
+    # only those two vertices can have their residue finalized there
+    u_completes = [False] * q
+    v_completes = [False] * q
+    seen: set[int] = set()
+    for pos in range(q - 1, -1, -1):
+        u, v = edges[pos]
+        u_completes[pos] = u not in seen
+        v_completes[pos] = v not in seen
+        seen.update((u, v))
 
     # labelings each leaf stands for: rem classes hold k+1 labels, p-rem hold k
     k, rem = divmod(q, p)
@@ -238,6 +242,8 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     def place(pos: int) -> None:
         nonlocal nodes
         u, v = edges[pos]
+        cu, cv = u_completes[pos], v_completes[pos]
+        su, sv = sums[u], sums[v]  # children restore them before returning
         last = pos + 1 == q
         labels = labels_at[pos]
         if pos == forced_pos and not used[sym_label]:
@@ -246,30 +252,35 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
             # only the smallest unused label of each residue class
             if used[lab] or (lab > p and not used[lab - p]):
                 continue
-            used[lab] = True
-            sums[u] += lab
-            sums[v] += lab
-            level_label[pos] = lab
             nodes += 1
-            ok = True
-            finalized: list[int] = []
-            for w in completes_at[pos]:
-                r = sums[w] % p
-                if residue_taken[r]:
-                    ok = False
-                    break
-                residue_taken[r] = True
-                finalized.append(r)
-            if ok:
-                if last:
-                    record()
-                else:
-                    place(pos + 1)
-            for r in finalized:
-                residue_taken[r] = False
-            sums[u] -= lab
-            sums[v] -= lab
-            used[lab] = False
+            # reject a colliding label before any state changes
+            if cu:
+                ru = (su + lab) % p
+                if residue_taken[ru]:
+                    continue
+            if cv:
+                rv = (sv + lab) % p
+                if residue_taken[rv] or (cu and rv == ru):
+                    continue
+            level_label[pos] = lab
+            if last:
+                record()  # reads level_label only, so the leaf is not placed
+            else:
+                used[lab] = True
+                sums[u] += lab
+                sums[v] += lab
+                if cu:
+                    residue_taken[ru] = True
+                if cv:
+                    residue_taken[rv] = True
+                place(pos + 1)
+                if cu:
+                    residue_taken[ru] = False
+                if cv:
+                    residue_taken[rv] = False
+                sums[u] -= lab
+                sums[v] -= lab
+                used[lab] = False
             if stopped:
                 return
 

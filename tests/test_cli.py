@@ -281,6 +281,16 @@ class TestDioph:
         assert code == 2
         assert "certify" in err
 
+    def test_unsplit_1000_digit_cofactor_exits_2_in_bounded_time(self, capsys):
+        # f is the product of the next primes after 10^499 and 10^500, too far
+        # apart for Pollard-Brent; its budget shrinks with f's size in words
+        f = (10**499 + 153) * (10**500 + 961)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dioph", "1", "1", "0", "0", "0", str(f))
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (2, "")
+        assert "Pollard-Brent" in err and "Traceback" not in err
+
 
 class TestSearch:
     def graph_doc(self, g):

@@ -382,6 +382,16 @@ class TestPositiveDivisors:
         with pytest.raises(ValueError, match="Pollard-Brent"):
             positive_divisors(999_983 * 1_000_003)
 
+    def test_rho_budget_shrinks_with_the_cofactor_in_words(self, monkeypatch):
+        # below 2^64 the whole budget; a 3-word cofactor gets a third of it
+        monkeypatch.setattr(diophantine, "RHO_STEP_LIMIT", 64)
+        small = 999_983 * 1_000_003
+        big = sympy.nextprime(2**80) * sympy.nextprime(2**90)
+        assert (small.bit_length(), -(-big.bit_length() // 64)) == (40, 3)
+        for n, budget in ((small, 64), (big, 21)):
+            with pytest.raises(ValueError, match=f"in {budget} Pollard-Brent iterations"):
+                positive_divisors(n)
+
 
 class TestLazyImport:
     def test_package_import_defers_solver_and_screen(self):

@@ -37,6 +37,15 @@ PINNED_WITNESSES = [
 # limit 200, recorded from the kernel before count mode broke symmetries
 PINNED_NODES = [(3, 15), (5, 152), (69, 69), (23, 34), (9, 10973), (8, 10972)]
 
+# (solution_count, nodes_expanded) in mode "count" of the perfbench refute
+# families, unshuffled; the node counts pin the symmetry-reduced class tree
+PINNED_COUNT_TREES = [
+    (fan(1, 3), 32, 68), (fan(1, 4), 0, 1_498), (fan(1, 5), 0, 35_154),
+    (fan(2, 2), 32, 76), (fan(2, 3), 0, 2_567),
+    (cycle(7), 336, 889), (cycle(8), 0, 3_948), (cycle(9), 3_240, 19_817),
+    (path(8), 0, 2_331), (path(9), 360, 10_116), (path(10), 0, 58_518),
+]
+
 # K_5 has q = 2p, so no label is alone in its residue class; 787 200 is the
 # count of the 10! permutation scan, 235 470 the class tree's size
 K5 = make_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
@@ -228,6 +237,11 @@ class TestSymmetryBreaking:
         out = search(K5, SearchOptions(mode="count"))
         assert (out.solution_count, out.nodes_expanded) == (787_200, 235_470)
         assert out.exhausted
+
+    @pytest.mark.parametrize("g, count, nodes", PINNED_COUNT_TREES)
+    def test_count_mode_trees_are_pinned(self, g, count, nodes):
+        out = search(g, SearchOptions(mode="count"))
+        assert (out.solution_count, out.nodes_expanded, out.exhausted) == (count, nodes, True)
 
     def test_count_limit_cuts_an_orbit_weighted_leaf(self):
         # C_5: one orbit of 5 edges, weight 1, so every leaf adds 5 of the 20
