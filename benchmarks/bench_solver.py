@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the factor-pair solver and the search kernel of two versions of the
-package on one machine.
+"""Time the factor-pair solver, the search kernel and the start-up of two
+versions of the package on one machine.
 
 Usage (from the repository root):
 
@@ -9,16 +9,20 @@ Usage (from the repository root):
 The before side is the ``src/`` of git revision REV, extracted with
 ``git archive``; the after side is the working tree's ``src/``.  Each side
 runs in its own child process, the two alternating which goes first, and
-times two layers with ``time.perf_counter``:
+times three layers with ``time.perf_counter``:
 
 - solver: ``integer_solutions(eq)`` and ``solve_factor_pairs(reduce(eq))``
   per equation of ``perfbench/expected.json`` (the F_{m,n} equations for
   m = 1..6 and the 96 random ones), which this script only reads;
 - search: ``search`` in modes "count" and "first" on ``SEARCH_GRAPHS``,
-  where mode "first" is exhaustive on the graphs that have no labeling.
+  where mode "first" is exhaustive on the graphs that have no labeling;
+- startup: the wall time of a whole child interpreter per command of
+  ``STARTUP_COMMANDS`` (a bare interpreter, the import of ``edgegraceful.cli``
+  and two CLI calls), the sides alternating which goes first on each command.
 
-Row, solution and node counts and the first-mode witnesses are deterministic
-and must agree on both sides; the script exits 1 when they do not.
+Row, solution and node counts, the first-mode witnesses and the CLI calls'
+stdout are deterministic and must agree on both sides; the script exits 1
+when they do not.
 
 ``perfbench/run.py --trace 1`` reports each layer only as totals over
 however many tasks a timed run completes, so its counters differ between a
@@ -47,6 +51,15 @@ SEARCH_GRAPHS = (("F_1_5", "fan", (1, 5)), ("F_1_6", "fan", (1, 6)), ("F_2_4", "
                  ("C_9", "cycle", (9,)), ("C_11", "cycle", (11,)), ("P_10", "path", (10,)),
                  ("K_5", "complete", (5,)))
 SEARCH_MODES = ("count", "first")
+STARTUP_ROUNDS = 25  # child processes per side and command
+STARTUP_COMMANDS = (
+    ("python -c pass", ["-c", "pass"]),
+    ("import edgegraceful.cli", ["-c", "import edgegraceful.cli"]),
+    ("lo --p 12 --q 21", ["-m", "edgegraceful", "lo", "--p", "12", "--q", "21",
+                          "--format", "json"]),
+    ("dioph 7 -2 0 -5 -2 0", ["-m", "edgegraceful", "dioph", "7", "-2", "0", "-5", "-2", "0",
+                              "--format", "json"]),
+)
 SOLVER_COUNTS = ("rows", "integral_rows", "solutions")
 SEARCH_COUNTS = ("solution_count", "nodes_expanded", "exhausted", "witness")
 
@@ -115,6 +128,32 @@ def child(src: str) -> None:
     if not Path(eg.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise RuntimeError(f"imported edgegraceful from {eg.__file__}, not from {src}")
     json.dump({"solver": time_solver(eg), "search": time_search(eg)}, sys.stdout)
+
+
+def time_startup(sides: dict[str, str]) -> tuple[list[dict], list[str]]:
+    """Per command, each side's median and quartiles of a child's wall time
+    (ms); and the commands whose stdout differs between the sides."""
+    times = {name: {side: [] for side in sides} for name, _ in STARTUP_COMMANDS}
+    stdout: dict = {}
+    for r in range(STARTUP_ROUNDS):
+        for name, argv in STARTUP_COMMANDS:
+            for side in (sides if r % 2 == 0 else reversed(sides)):
+                env = dict(os.environ, PYTHONPATH=sides[side])
+                t0 = time.perf_counter()
+                proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, check=True,
+                                      capture_output=True, text=True)
+                times[name][side].append(time.perf_counter() - t0)
+                stdout.setdefault(name, {})[side] = proc.stdout
+    rows = []
+    for name, _ in STARTUP_COMMANDS:
+        row = {"command": name}
+        for side in sides:
+            q1, median, q3 = statistics.quantiles(times[name][side], n=4, method="inclusive")
+            row[side] = {"median_ms": round(median * 1000, 2),
+                         "quartiles_ms": [round(q1 * 1000, 2), round(q3 * 1000, 2)]}
+        row["ratio"] = round(row["after"]["median_ms"] / row["before"]["median_ms"], 3)
+        rows.append(row)
+    return rows, [name for name, out in stdout.items() if len(set(out.values())) > 1]
 
 
 def git(*args: str) -> str:
@@ -187,6 +226,7 @@ def main() -> int:
             order = ("before", "after") if r % 2 == 0 else ("after", "before")
             for side in order:
                 runs[side].append(run_side(sides[side]))
+        startup_rows, startup_bad = time_startup(sides)
 
     solver_metrics = ("integer_solutions_s", "solve_factor_pairs_s")
     solver_rows, solver_bad = compare(runs, "solver", ("equation", "coeffs"),
@@ -195,7 +235,8 @@ def main() -> int:
                                       SEARCH_COUNTS, ("search_s",))
     record = {
         "what": "integer_solutions and solve_factor_pairs per equation of "
-                "perfbench/expected.json, and search per graph and mode, before and after",
+                "perfbench/expected.json, search per graph and mode, and child "
+                "start-up per command, before and after",
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {platform.system()}, "
                    f"{len(os.sched_getaffinity(0))} CPUs available",
@@ -204,22 +245,26 @@ def main() -> int:
         "method": f"each side in its own child process, {ROUNDS} children per side "
                   f"alternating which goes first; per child, the median of {REPEATS} "
                   "calls per equation and of 1 per graph and mode; "
-                  "per row, the median over the children; seconds",
+                  "per row, the median over the children; seconds; start-up: "
+                  f"{STARTUP_ROUNDS} children per side and command, alternating which "
+                  "side goes first, median and quartiles in ms",
         "solver_totals_s": totals(solver_rows, solver_metrics),
         "search_totals_s": totals(search_rows, ("search_s",)),
-        "counts_identical": not (solver_bad or search_bad),
+        "counts_identical": not (solver_bad or search_bad or startup_bad),
+        "startup_rows": [],
         "search_rows": [],
         "solver_rows": [],
     }
     # one line per row keeps the file short enough to read
     text = json.dumps(record, indent=1)
-    for key, rows in (("search_rows", search_rows), ("solver_rows", solver_rows)):
+    for key, rows in (("startup_rows", startup_rows), ("search_rows", search_rows),
+                      ("solver_rows", solver_rows)):
         text = text.replace(f'"{key}": []', f'"{key}": [\n  '
                             + ",\n  ".join(json.dumps(row) for row in rows) + "\n ]")
     Path(args.out).write_text(text + "\n")
-    if solver_bad or search_bad:
-        print(f"counts or witnesses differ on: {', '.join(solver_bad + search_bad)}",
-              file=sys.stderr)
+    bad = solver_bad + search_bad + startup_bad
+    if bad:
+        print(f"counts, witnesses or output differ on: {', '.join(bad)}", file=sys.stderr)
         return 1
     return 0
 

@@ -29,33 +29,32 @@ and ``fractions`` is imported there, on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .graphs import require_int
+from .graphs import Record, require_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class QuadraticDiophantine:
+class QuadraticDiophantine(Record):
     """Coefficients of a*x^2 + b*x*y + c*y^2 + d*x + e*y + f = 0.
 
     Requires a != 0 (back-substitution divides by 2a).
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
-    e: int
-    f: int
+    __slots__ = ("a", "b", "c", "d", "e", "f")
 
-    def __post_init__(self) -> None:
-        require_int("a coefficient", self.a, self.b, self.c, self.d, self.e, self.f)
-        if self.a == 0:
+    def __init__(self, a: int, b: int, c: int, d: int, e: int, f: int) -> None:
+        require_int("a coefficient", a, b, c, d, e, f)
+        if a == 0:
             raise ValueError("coefficient a must be nonzero")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
 
     def evaluate(self, x: int, y: int) -> int:
         """Left-hand side at (x, y); zero exactly when (x, y) is a solution."""
@@ -69,32 +68,37 @@ class QuadraticDiophantine:
         )
 
 
-@dataclass(frozen=True)
-class ReducedForm:
+class ReducedForm(Record):
     """The Pell-like constants of an equation, X^2 - D*Y^2 = N."""
 
-    equation: QuadraticDiophantine
-    D: int
-    E: int
-    F: int
-    N: int
+    __slots__ = ("equation", "D", "E", "F", "N")
+
+    def __init__(self, equation: QuadraticDiophantine, D: int, E: int, F: int, N: int) -> None:
+        object.__setattr__(self, "equation", equation)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "N", N)
 
 
-@dataclass(frozen=True)
-class FactorPairRow:
+class FactorPairRow(Record):
     """One enumeration row: a factor pair and everything derived from it.
 
     ``integral`` is true iff X, Y, x and y are all integers; only such rows
     yield solutions of the original equation.
     """
 
-    N1: int
-    N2: int
-    X: Fraction
-    Y: Fraction
-    x: Fraction
-    y: Fraction
-    integral: bool
+    __slots__ = ("N1", "N2", "X", "Y", "x", "y", "integral")
+
+    def __init__(self, N1: int, N2: int, X: Fraction, Y: Fraction, x: Fraction,
+                 y: Fraction, integral: bool) -> None:
+        object.__setattr__(self, "N1", N1)
+        object.__setattr__(self, "N2", N2)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "integral", integral)
 
 
 def reduce(eq: QuadraticDiophantine) -> ReducedForm:
@@ -147,9 +151,10 @@ def _factorize(n: int) -> dict[int, int]:
             # m has no factor below TRIAL_LIMIT (or below its square root,
             # where trial division stopped early), so small m is prime
             if m >= MR_EXACT_BELOW:
+                # m is named by size: str() of a huge m raises past the digit limit
                 raise ValueError(
-                    f"cannot certify that the cofactor {m} of N is prime (Miller-Rabin "
-                    f"on bases 2..41 is exact only below {MR_EXACT_BELOW})"
+                    f"cannot certify that a {m.bit_length()}-bit cofactor of N is prime "
+                    f"(Miller-Rabin on bases 2..41 is exact only below {MR_EXACT_BELOW})"
                 )
             factors[m] = factors.get(m, 0) + 1
             continue
@@ -215,7 +220,8 @@ def _pollard_brent(n: int) -> int:
         if 1 < g < n:
             return g
     raise ValueError(
-        f"no factor of {n} found in {budget} Pollard-Brent iterations"
+        f"no factor of a {n.bit_length()}-bit cofactor of N found in {budget} "
+        "Pollard-Brent iterations"
     )
 
 

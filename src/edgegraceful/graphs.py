@@ -8,7 +8,7 @@ with it, so two calls with equal arguments must produce identical edge lists.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
+from collections.abc import Iterable
 
 Edge = tuple[int, int]
 
@@ -26,8 +26,44 @@ def require_int(what: str, *values) -> None:
             raise ValueError(f"{what} must be an integer, got {reprlib.repr(v)}")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in ``__slots__`` and sets each one once in its
+    ``__init__`` with ``object.__setattr__``; later assignment or deletion
+    raises AttributeError.  Two records are equal, and hash alike, when they
+    share a class and their fields are equal.  ``__reduce__`` calls the class
+    with the fields in slot order, so ``pickle`` and ``copy`` work.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(Record):
     """Immutable simple undirected graph on vertices ``0..p-1``.
 
     The one graph constructor: ``edges`` may be any iterable of vertex pairs,
@@ -38,21 +74,19 @@ class Graph:
     duplicate edges as unordered pairs.  Anything else raises ValueError.
     """
 
-    p: int
-    edges: tuple[Edge, ...]
+    __slots__ = ("p", "edges")
 
-    def __post_init__(self) -> None:
-        p = self.p
+    def __init__(self, p: int, edges: Iterable[Edge]) -> None:
         require_int("vertex count", p)
         if p < 0:
             raise ValueError(f"vertex count must be nonnegative, got {p}")
         try:
-            pairs = iter(self.edges)
+            pairs = iter(edges)
         except TypeError:
             raise ValueError(
-                f"edges must be an iterable of vertex pairs, got {type(self.edges).__name__}"
+                f"edges must be an iterable of vertex pairs, got {type(edges).__name__}"
             ) from None
-        edges: list[Edge] = []
+        stored: list[Edge] = []
         seen: set[Edge] = set()
         for item in pairs:
             # a list (as JSON documents give) or a tuple subclass becomes a tuple
@@ -60,7 +94,7 @@ class Graph:
                 tuple(item) if isinstance(item, (tuple, list)) else ())
             if len(e) != 2:
                 raise ValueError(
-                    f"edge {len(edges)} is not a pair of vertices: {reprlib.repr(item)}"
+                    f"edge {len(stored)} is not a pair of vertices: {reprlib.repr(item)}"
                 )
             u, v = e
             require_int("an edge endpoint", u, v)
@@ -72,8 +106,9 @@ class Graph:
             if key in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add(key)
-            edges.append(e)
-        object.__setattr__(self, "edges", tuple(edges))
+            stored.append(e)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "edges", tuple(stored))
 
     @property
     def q(self) -> int:

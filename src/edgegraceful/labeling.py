@@ -17,13 +17,12 @@ need the per-vertex correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 
-from .graphs import Graph, require_int
+from .graphs import Graph, Record, require_int
 
 
-@dataclass(frozen=True)
-class EdgeLabeling:
+class EdgeLabeling(Record):
     """A bijection from edges to {1..q}, stored in edge-list order.
 
     ``labels[i]`` is the label of ``graph.edges[i]``.  ``labels`` may be any
@@ -31,43 +30,49 @@ class EdgeLabeling:
     not a permutation of the integers 1..q with ValueError.
     """
 
-    graph: Graph
-    labels: tuple[int, ...]
+    __slots__ = ("graph", "labels")
 
-    def __post_init__(self) -> None:
-        if type(self.labels) is not tuple:
+    def __init__(self, graph: Graph, labels: Iterable[int]) -> None:
+        if type(labels) is not tuple:
             try:
-                object.__setattr__(self, "labels", tuple(self.labels))
+                labels = tuple(labels)
             except TypeError:
                 raise ValueError(
-                    f"labels must be an iterable of integers, got {type(self.labels).__name__}"
+                    f"labels must be an iterable of integers, got {type(labels).__name__}"
                 ) from None
-        q = self.graph.q
-        if len(self.labels) != q:
-            raise ValueError(f"{len(self.labels)} labels for {q} edges; need one per edge")
-        require_int("a label", *self.labels)
-        if sorted(self.labels) != list(range(1, q + 1)):
+        q = graph.q
+        if len(labels) != q:
+            raise ValueError(f"{len(labels)} labels for {q} edges; need one per edge")
+        require_int("a label", *labels)
+        if sorted(labels) != list(range(1, q + 1)):
             raise ValueError(f"labels must be a permutation of 1..{q}")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "labels", labels)
 
 
-@dataclass(frozen=True)
-class InducedLabels:
+class InducedLabels(Record):
     """Per-vertex residues in [0, p), indexed by vertex."""
 
-    residues: tuple[int, ...]
+    __slots__ = ("residues",)
+
+    def __init__(self, residues: tuple[int, ...]) -> None:
+        object.__setattr__(self, "residues", residues)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of the edge-graceful test.
 
     On failure ``witness`` names one pair of vertices sharing a residue
     (the first collision in vertex order).
     """
 
-    edge_graceful: bool
-    induced: InducedLabels
-    witness: tuple[int, int] | None = None
+    __slots__ = ("edge_graceful", "induced", "witness")
+
+    def __init__(self, edge_graceful: bool, induced: InducedLabels,
+                 witness: tuple[int, int] | None = None) -> None:
+        object.__setattr__(self, "edge_graceful", edge_graceful)
+        object.__setattr__(self, "induced", induced)
+        object.__setattr__(self, "witness", witness)
 
 
 def induce(labeling: EdgeLabeling) -> InducedLabels:

@@ -16,20 +16,20 @@ use, so a program that only screens graphs does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import require_int
+from .graphs import Record, require_int
 
 # (a, b, c, d, e, f) of the usual-fan equation in (x, y) = (n, k)
 FAN_COEFFICIENTS = (7, -2, 0, -5, -2, 0)
 
 
-@dataclass(frozen=True)
-class LoReport:
-    p: int
-    q: int
-    residual: int
-    divides: bool
+class LoReport(Record):
+    __slots__ = ("p", "q", "residual", "divides")
+
+    def __init__(self, p: int, q: int, residual: int, divides: bool) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "divides", divides)
 
 
 def lo_check(p: int, q: int) -> LoReport:

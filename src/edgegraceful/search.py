@@ -48,10 +48,9 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial
 
-from .graphs import Graph, require_int
+from .graphs import Graph, Record, require_int
 from .labeling import EdgeLabeling
 
 MODES = ("first", "all", "count")
@@ -59,8 +58,7 @@ MODES = ("first", "all", "count")
 STACK_MARGIN = 200  # frames left for the caller above the one-per-edge recursion
 
 
-@dataclass(frozen=True)
-class SearchOptions:
+class SearchOptions(Record):
     """Knobs for one search run.
 
     mode: "first" stops at one solution, "all" collects every one, "count"
@@ -68,20 +66,20 @@ class SearchOptions:
     run may take in modes "all" and "count" (mode "first" is implicitly 1).
     """
 
-    mode: str = "first"
-    limit: int | None = None
+    __slots__ = ("mode", "limit")
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.limit is not None:
-            require_int("limit", self.limit)
-            if self.limit < 1:
-                raise ValueError(f"limit must be >= 1 when given, got {self.limit}")
+    def __init__(self, mode: str = "first", limit: int | None = None) -> None:
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if limit is not None:
+            require_int("limit", limit)
+            if limit < 1:
+                raise ValueError(f"limit must be >= 1 when given, got {limit}")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "limit", limit)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     """Result of a search run.
 
     ``exhausted`` is true iff the whole assignment space was covered, i.e.
@@ -90,10 +88,14 @@ class SearchOutcome:
     no labelings are stored.
     """
 
-    solutions: tuple[EdgeLabeling, ...]
-    solution_count: int
-    nodes_expanded: int
-    exhausted: bool
+    __slots__ = ("solutions", "solution_count", "nodes_expanded", "exhausted")
+
+    def __init__(self, solutions: tuple[EdgeLabeling, ...], solution_count: int,
+                 nodes_expanded: int, exhausted: bool) -> None:
+        object.__setattr__(self, "solutions", solutions)
+        object.__setattr__(self, "solution_count", solution_count)
+        object.__setattr__(self, "nodes_expanded", nodes_expanded)
+        object.__setattr__(self, "exhausted", exhausted)
 
 
 def completion_order(graph: Graph) -> list[int]:

@@ -392,6 +392,23 @@ class TestPositiveDivisors:
             with pytest.raises(ValueError, match=f"in {budget} Pollard-Brent iterations"):
                 positive_divisors(n)
 
+    def test_cofactor_messages_survive_the_int_to_str_limit(self, monkeypatch):
+        # a cofactor is named by its size: formatting a 700-digit one would
+        # itself raise past a 640-digit limit and hide the message
+        monkeypatch.setattr(diophantine, "RHO_STEP_LIMIT", 64)
+        semiprime = (10**349 + 297) * (10**350 + 133)  # both factors are prime
+        prime = 10**699 + 1279
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ValueError, match=r"2323-bit cofactor of N found in 1 "
+                                                 r"Pollard-Brent iterations"):
+                positive_divisors(semiprime)
+            with pytest.raises(ValueError, match="cannot certify that a 2323-bit cofactor"):
+                positive_divisors(12 * prime)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestLazyImport:
     def test_package_import_defers_solver_and_screen(self):
@@ -439,6 +456,35 @@ class TestLazyImport:
             "from edgegraceful import QuadraticDiophantine, reduce, solve_factor_pairs\n"
             "solve_factor_pairs(reduce(QuadraticDiophantine(7, -2, 0, -5, -2, 0)))\n"
             "assert 'fractions' in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
+
+    def test_cli_commands_do_not_load_dataclasses_or_inspect(self, tmp_path):
+        # only modules new since start-up count, so a site hook that loads
+        # either one does not decide the test
+        from edgegraceful import fan, search
+        from edgegraceful.cli import graph_to_doc, labeling_to_doc
+
+        graph_doc = tmp_path / "graph.json"
+        graph_doc.write_text(json.dumps(graph_to_doc(fan(1, 3))))
+        labeling_doc = tmp_path / "labeling.json"
+        labeling_doc.write_text(json.dumps(labeling_to_doc(search(fan(1, 3)).solutions[0])))
+        code = (
+            "import sys\n"
+            "at_start = set(sys.modules)\n"
+            "import contextlib, io\n"
+            "from edgegraceful import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['gen', 'fan', '--n', '3']),\n"
+            "             cli.main(['lo', '--p', '12', '--q', '21']),\n"
+            f"             cli.main(['search', {str(graph_doc)!r}]),\n"
+            f"             cli.main(['verify', {str(labeling_doc)!r}]),\n"
+            "             cli.main(['dioph', '7', '-2', '0', '-5', '-2', '0', '--trace']),\n"
+            "             cli.main(['classify-fans', '--max', '100'])]\n"
+            "assert codes == [0] * 6, codes\n"
+            "loaded = set(sys.modules) - at_start\n"
+            "assert 'edgegraceful.diophantine' in loaded, sorted(loaded)\n"
+            "assert not {'dataclasses', 'inspect'} & loaded, sorted(loaded)\n"
         )
         subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
 

@@ -1,0 +1,88 @@
+"""The contract every record of the package keeps: immutable fields,
+equality within one class, hashing, repr, pickling and copying."""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from edgegraceful import (
+    Graph, InducedLabels, QuadraticDiophantine, SearchOptions, Verdict, fan, lo_check, reduce,
+    search, solve_factor_pairs, verify,
+)
+from edgegraceful.graphs import Record
+
+FAN_EQUATION = QuadraticDiophantine(7, -2, 0, -5, -2, 0)
+WITNESS = search(fan(1, 3)).solutions[0]
+RECORDS = [
+    Graph(3, [(0, 1), (1, 2)]),
+    WITNESS,
+    verify(WITNESS).induced,
+    Verdict(False, InducedLabels((0, 0)), witness=(0, 1)),
+    lo_check(12, 21),
+    SearchOptions(mode="count", limit=5),
+    search(fan(1, 3), SearchOptions(mode="all", limit=2)),
+    FAN_EQUATION,
+    reduce(FAN_EQUATION),
+    solve_factor_pairs(reduce(FAN_EQUATION))[1],
+]
+IDS = [type(r).__name__ for r in RECORDS]
+
+
+def fields(record) -> tuple:
+    return tuple(getattr(record, name) for name in type(record).__slots__)
+
+
+def test_every_record_class_is_covered():
+    assert sorted(IDS) == sorted(cls.__name__ for cls in Record.__subclasses__())
+    assert len(IDS) == 10
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+class TestRecordContract:
+    def test_equal_records_hash_alike(self, record):
+        again = type(record)(*fields(record))
+        assert again == record and again is not record
+        assert hash(again) == hash(record)
+        by_name = dict(zip(type(record).__slots__, fields(record)))
+        assert type(record)(**by_name) == record
+
+    def test_equality_needs_the_same_class(self, record):
+        class Sub(type(record)):
+            __slots__ = ()
+
+        assert record != fields(record) and fields(record) != record
+        assert Sub(*fields(record)) != record
+        assert record != Sub(*fields(record))
+
+    def test_fields_cannot_be_assigned_or_deleted(self, record):
+        for name in type(record).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert not hasattr(record, "__dict__")
+
+    def test_pickle_and_deepcopy_give_an_equal_record(self, record):
+        for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record),
+                      copy.copy(record)):
+            assert type(clone) is type(record)
+            assert clone == record and hash(clone) == hash(record)
+
+    def test_unknown_keyword_raises_type_error(self, record):
+        with pytest.raises(TypeError):
+            type(record)(*fields(record), no_such_field=1)
+
+    def test_repr_names_every_field(self, record):
+        text = repr(record)
+        assert text.startswith(f"{type(record).__name__}(")
+        for name, value in zip(type(record).__slots__, fields(record)):
+            assert f"{name}={value!r}" in text
+
+
+def test_readme_repr():
+    assert repr(lo_check(12, 21)) == "LoReport(p=12, q=21, residual=396, divides=True)"
