@@ -11,9 +11,12 @@ The before side is the ``src/`` of git revision REV, extracted with
 runs in its own child process, the two alternating which goes first, and
 times three layers with ``time.perf_counter``:
 
-- solver: ``integer_solutions(eq)`` and ``solve_factor_pairs(reduce(eq))``
-  per equation of ``perfbench/expected.json`` (the F_{m,n} equations for
-  m = 1..6 and the 96 random ones), which this script only reads;
+- solver: ``integer_solutions(eq)``, ``solve_factor_pairs(reduce(eq))``
+  alone, and ``solve_factor_pairs(reduce(eq))`` followed by a read of X, Y,
+  x and y of every row, per equation of ``perfbench/expected.json`` (the
+  F_{m,n} equations for m = 1..6 and the 96 random ones), which this script
+  only reads.  The read-all metric keeps cost that a version moves from
+  building a row to reading it in view;
 - search: ``search`` in modes "count" and "first" on ``SEARCH_GRAPHS``,
   where mode "first" is exhaustive on the graphs that have no labeling;
 - startup: the wall time of a whole child interpreter per command of
@@ -102,20 +105,25 @@ def time_solver(eg) -> list[dict]:
     out = []
     for name, coeffs in equations():
         eq = eg.QuadraticDiophantine(*coeffs)
-        solve, rows = [], []
+        solve, rows, read = [], [], []
         for _ in range(REPEATS):
             t0 = time.perf_counter()
             solutions = eg.integer_solutions(eq)
             t1 = time.perf_counter()
             table = eg.solve_factor_pairs(eg.reduce(eq))
             t2 = time.perf_counter()
+            for r in eg.solve_factor_pairs(eg.reduce(eq)):
+                r.X, r.Y, r.x, r.y
+            t3 = time.perf_counter()
             solve.append(t1 - t0)
             rows.append(t2 - t1)
+            read.append(t3 - t2)
         out.append({
             "equation": name, "coeffs": coeffs, "rows": len(table),
             "integral_rows": sum(r.integral for r in table), "solutions": len(solutions),
             "integer_solutions_s": statistics.median(solve),
             "solve_factor_pairs_s": statistics.median(rows),
+            "solve_factor_pairs_read_s": statistics.median(read),
         })
     return out
 
@@ -228,13 +236,14 @@ def main() -> int:
                 runs[side].append(run_side(sides[side]))
         startup_rows, startup_bad = time_startup(sides)
 
-    solver_metrics = ("integer_solutions_s", "solve_factor_pairs_s")
+    solver_metrics = ("integer_solutions_s", "solve_factor_pairs_s", "solve_factor_pairs_read_s")
     solver_rows, solver_bad = compare(runs, "solver", ("equation", "coeffs"),
                                       SOLVER_COUNTS, solver_metrics)
     search_rows, search_bad = compare(runs, "search", ("graph", "mode"),
                                       SEARCH_COUNTS, ("search_s",))
     record = {
-        "what": "integer_solutions and solve_factor_pairs per equation of "
+        "what": "integer_solutions, solve_factor_pairs alone and solve_factor_pairs "
+                "with a read of X, Y, x and y of every row, per equation of "
                 "perfbench/expected.json, search per graph and mode, and child "
                 "start-up per command, before and after",
         "python": platform.python_version(),

@@ -22,8 +22,10 @@ denominators:
 A row is integral exactly when the four remainders are zero.  Non-integral
 rows are retained (flagged, not dropped) so that ``factor_pair_trace`` can
 render the full enumeration.  ``integer_solutions`` reads only the remainders
-and integer quotients; only ``solve_factor_pairs`` builds ``Fraction`` values,
-and ``fractions`` is imported there, on first use.
+and integer quotients.  No function here builds a ``Fraction``: the rows of
+``solve_factor_pairs`` keep the integer numerators and make X, Y, x and y
+exact ``Fraction`` values when they are read, and ``fractions`` is imported
+at the first such read.
 """
 
 from __future__ import annotations
@@ -81,24 +83,52 @@ class ReducedForm(Record):
         object.__setattr__(self, "N", N)
 
 
+def _fraction(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)``.  The first call imports ``fractions`` and binds
+    this name to ``Fraction`` itself, so later reads pay no import."""
+    global _fraction
+    from fractions import Fraction
+
+    _fraction = Fraction
+    return Fraction(num, den)
+
+
+def _read_as_fraction(i: int, name: str) -> property:
+    def read(self) -> Fraction:
+        return _fraction(self._nums[i], self._dens[i])
+
+    return property(read, doc=f"{name} as an exact Fraction, built on each read.")
+
+
 class FactorPairRow(Record):
     """One enumeration row: a factor pair and everything derived from it.
 
     ``integral`` is true iff X, Y, x and y are all integers; only such rows
-    yield solutions of the original equation.
+    yield solutions of the original equation.  A row stores N1, N2,
+    ``integral`` and the integer numerators of X, Y, x and y with their
+    denominators; the four are read-only properties that build an exact
+    ``Fraction`` on every read, so a caller that reads some rows pays for no
+    others.  The constructor takes ``Fraction`` or ``int`` values, and the
+    record contract (equality, hashing, repr, pickling) reads the seven public
+    fields, so a row equals the one built from its ``Fraction`` values.
     """
 
-    __slots__ = ("N1", "N2", "X", "Y", "x", "y", "integral")
+    __slots__ = ("N1", "N2", "integral", "_nums", "_dens")
+    _fields = ("N1", "N2", "X", "Y", "x", "y", "integral")
 
-    def __init__(self, N1: int, N2: int, X: Fraction, Y: Fraction, x: Fraction,
-                 y: Fraction, integral: bool) -> None:
+    def __init__(self, N1: int, N2: int, X: Fraction | int, Y: Fraction | int,
+                 x: Fraction | int, y: Fraction | int, integral: bool) -> None:
         object.__setattr__(self, "N1", N1)
         object.__setattr__(self, "N2", N2)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
         object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "_nums", (X.numerator, Y.numerator, x.numerator, y.numerator))
+        object.__setattr__(self, "_dens",
+                           (X.denominator, Y.denominator, x.denominator, y.denominator))
+
+    X = _read_as_fraction(0, "X")
+    Y = _read_as_fraction(1, "Y")
+    x = _read_as_fraction(2, "x")
+    y = _read_as_fraction(3, "y")
 
 
 def reduce(eq: QuadraticDiophantine) -> ReducedForm:
@@ -282,16 +312,23 @@ def solve_factor_pairs(form: ReducedForm) -> list[FactorPairRow]:
     Both orders of each unordered pair appear, and sign-flipped pairs follow
     the positive ones.
     """
-    from fractions import Fraction
-
-    dX, dY, dx, dy = _denominators(form)
-    return [
-        FactorPairRow(
-            N1=n1, N2=n2, X=Fraction(X, dX), Y=Fraction(Y, dY),
-            x=Fraction(x, dx), y=Fraction(y, dy), integral=integral,
-        )
-        for n1, n2, X, Y, x, y, integral in _factor_pair_numerators(form)
-    ]
+    dens = _denominators(form)
+    # rows are filled through the slot descriptors, not through __init__,
+    # which takes Fraction values and sets each field by name
+    new = FactorPairRow.__new__
+    set_n1, set_n2 = FactorPairRow.N1.__set__, FactorPairRow.N2.__set__
+    set_integral = FactorPairRow.integral.__set__
+    set_nums, set_dens = FactorPairRow._nums.__set__, FactorPairRow._dens.__set__
+    rows = []
+    for n1, n2, X, Y, x, y, integral in _factor_pair_numerators(form):
+        row = new(FactorPairRow)
+        set_n1(row, n1)
+        set_n2(row, n2)
+        set_integral(row, integral)
+        set_nums(row, (X, Y, x, y))
+        set_dens(row, dens)
+        rows.append(row)
+    return rows
 
 
 def integer_solutions(eq: QuadraticDiophantine) -> list[tuple[int, int]]:

@@ -19,27 +19,51 @@ def require_int(what: str, *values) -> None:
     Run before any comparison, so a float is never truncated and no TypeError
     escapes; graph and labeling fields and numeric arguments all go through it.
     The ``type(v) is not int`` test first lets a plain int through at once.
-    The message shows a shortened repr, so a huge value stays a short error.
+    The message shows the value through ``shown``, so it stays short and
+    cannot itself raise.
     """
     for v in values:
         if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
-            raise ValueError(f"{what} must be an integer, got {reprlib.repr(v)}")
+            raise ValueError(f"{what} must be an integer, got {shown(v)}")
+
+
+class _ShortRepr(reprlib.Repr):
+    def repr_int(self, x: int, level: int) -> str:
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # str() raises past Python's int-to-str digit limit
+            return f"{'a negative' if x < 0 else 'a'} {x.bit_length()}-bit integer"
+
+
+# The text of a value in an error message: a shortened repr, as reprlib gives,
+# that never raises; an int too long for str() is named by sign and bit length.
+shown = _ShortRepr().repr
 
 
 class Record:
     """Base of the package's immutable records.
 
-    A subclass names its fields in ``__slots__`` and sets each one once in its
-    ``__init__`` with ``object.__setattr__``; later assignment or deletion
-    raises AttributeError.  Two records are equal, and hash alike, when they
-    share a class and their fields are equal.  ``__reduce__`` calls the class
-    with the fields in slot order, so ``pickle`` and ``copy`` work.
+    A subclass stores its values in ``__slots__`` and sets each one once in
+    its ``__init__`` with ``object.__setattr__``; later assignment or deletion
+    raises AttributeError.  Its fields, as the contract below reads them, are
+    ``_fields``: the ``__slots__`` of the class and of its record bases, in
+    order, unless the class names ``_fields`` itself, as ``FactorPairRow``
+    does for the values it computes on read.  Two records are equal, and hash
+    alike, when they share a class and their fields are equal; the repr names
+    every field; ``__reduce__`` calls the class with the fields in order, so
+    ``pickle`` and ``copy`` go through the public constructor.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -50,7 +74,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
@@ -79,7 +103,7 @@ class Graph(Record):
     def __init__(self, p: int, edges: Iterable[Edge]) -> None:
         require_int("vertex count", p)
         if p < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {p}")
+            raise ValueError(f"vertex count must be nonnegative, got {shown(p)}")
         try:
             pairs = iter(edges)
         except TypeError:
@@ -94,17 +118,19 @@ class Graph(Record):
                 tuple(item) if isinstance(item, (tuple, list)) else ())
             if len(e) != 2:
                 raise ValueError(
-                    f"edge {len(stored)} is not a pair of vertices: {reprlib.repr(item)}"
+                    f"edge {len(stored)} is not a pair of vertices: {shown(item)}"
                 )
             u, v = e
             require_int("an edge endpoint", u, v)
             if not (0 <= u < p and 0 <= v < p):
-                raise ValueError(f"edge ({u},{v}) has an endpoint out of range [0, {p})")
+                raise ValueError(
+                    f"edge ({shown(u)},{shown(v)}) has an endpoint out of range [0, {shown(p)})"
+                )
             if u == v:
-                raise ValueError(f"self-loop at vertex {u} is not allowed")
+                raise ValueError(f"self-loop at vertex {shown(u)} is not allowed")
             key = e if u < v else (v, u)
             if key in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
+                raise ValueError(f"duplicate edge ({shown(u)},{shown(v)})")
             seen.add(key)
             stored.append(e)
         object.__setattr__(self, "p", p)
@@ -136,7 +162,7 @@ def fan(m: int, n: int) -> Graph:
     """
     require_int("fan size", m, n)
     if m < 1 or n < 1:
-        raise ValueError(f"fan requires m, n >= 1, got m={m}, n={n}")
+        raise ValueError(f"fan requires m, n >= 1, got m={shown(m)}, n={shown(n)}")
     hub_edges = [(h, m + i) for h in range(m) for i in range(n)]
     path_edges = [(m + i, m + i + 1) for i in range(n - 1)]
     return Graph(m + n, hub_edges + path_edges)
@@ -146,7 +172,7 @@ def cycle(n: int) -> Graph:
     """Cycle on ``n`` vertices; edges (i, i+1 mod n) in index order."""
     require_int("cycle size", n)
     if n < 3:
-        raise ValueError(f"cycle requires n >= 3, got {n}")
+        raise ValueError(f"cycle requires n >= 3, got {shown(n)}")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -154,5 +180,5 @@ def path(n: int) -> Graph:
     """Path on ``n`` vertices; edges (i, i+1)."""
     require_int("path size", n)
     if n < 1:
-        raise ValueError(f"path requires n >= 1, got {n}")
+        raise ValueError(f"path requires n >= 1, got {shown(n)}")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])

@@ -16,7 +16,7 @@ use, so a program that only screens graphs does not load it.
 
 from __future__ import annotations
 
-from .graphs import Record, require_int
+from .graphs import Record, require_int, shown
 
 # (a, b, c, d, e, f) of the usual-fan equation in (x, y) = (n, k)
 FAN_COEFFICIENTS = (7, -2, 0, -5, -2, 0)
@@ -41,9 +41,9 @@ def lo_check(p: int, q: int) -> LoReport:
     """
     require_int("vertex and edge counts", p, q)
     if p < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {p}")
+        raise ValueError(f"vertex count must be nonnegative, got {shown(p)}")
     if q < 0:
-        raise ValueError(f"edge count must be nonnegative, got {q}")
+        raise ValueError(f"edge count must be nonnegative, got {shown(q)}")
     residual = q * q + q - p * (p - 1) // 2
     divides = residual % p == 0 if p else residual == 0
     return LoReport(p=p, q=q, residual=residual, divides=divides)
@@ -60,6 +60,6 @@ def classify_fans(n_max: int) -> list[int]:
 
     require_int("n_max", n_max)
     if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
+        raise ValueError(f"n_max must be positive, got {shown(n_max)}")
     solutions = integer_solutions(QuadraticDiophantine(*FAN_COEFFICIENTS))
     return sorted(x for x, _ in solutions if 1 <= x <= n_max)

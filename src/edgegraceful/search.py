@@ -50,7 +50,7 @@ import sys
 from collections import Counter
 from math import factorial
 
-from .graphs import Graph, Record, require_int
+from .graphs import Graph, Record, require_int, shown
 from .labeling import EdgeLabeling
 
 MODES = ("first", "all", "count")
@@ -70,11 +70,11 @@ class SearchOptions(Record):
 
     def __init__(self, mode: str = "first", limit: int | None = None) -> None:
         if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+            raise ValueError(f"mode must be one of {MODES}, got {shown(mode)}")
         if limit is not None:
             require_int("limit", limit)
             if limit < 1:
-                raise ValueError(f"limit must be >= 1 when given, got {limit}")
+                raise ValueError(f"limit must be >= 1 when given, got {shown(limit)}")
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "limit", limit)
 

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgegraceful import (
+    FactorPairRow,
     QuadraticDiophantine,
     ReducedForm,
     format_rational,
@@ -203,6 +204,44 @@ class TestFactorPairOracle:
         eq = QuadraticDiophantine(a, b, 0, d, e, f)
         assume(reduce(eq).N != 0)
         assert row_tuples(solve_factor_pairs(reduce(eq))) == factor_pair_rows_oracle(eq)
+
+
+class TestLazyRows:
+    """Rows built from integer numerators against rows built from Fractions."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_rows_equal_the_rows_built_from_fractions(self, m):
+        # m = 1 is FAN_EQ, the 56-row table
+        rows = solve_factor_pairs(reduce(fan_mn_equation(m)))
+        if m == 1:
+            assert len(rows) == 56
+        for row in rows:
+            built = FactorPairRow(row.N1, row.N2, Fraction(row.X), Fraction(row.Y),
+                                  Fraction(row.x), Fraction(row.y), row.integral)
+            assert row == built and built == row
+            assert hash(row) == hash(built)
+
+    def test_computed_fields_cannot_be_assigned_or_deleted(self):
+        row = solve_factor_pairs(reduce(FAN_EQ))[0]
+        for name in "XYxy":
+            with pytest.raises(AttributeError):
+                setattr(row, name, Fraction(1))
+            with pytest.raises(AttributeError):
+                delattr(row, name)
+        assert row.X == Fraction(1345, 2)
+
+    def test_repr_is_the_fraction_repr(self):
+        rows = solve_factor_pairs(reduce(FAN_EQ))
+        assert repr(rows[0]) == (
+            "FactorPairRow(N1=1, N2=1344, X=Fraction(1345, 2), Y=Fraction(1343, 4), "
+            "x=Fraction(47, 1), y=Fraction(1269, 8), integral=False)"
+        )
+
+    def test_constructor_takes_ints(self):
+        row = FactorPairRow(48, 28, 38, -5, 0, 0, True)
+        assert (row.X, row.Y, row.x, row.y) == (38, -5, 0, 0)
+        assert type(row.X) is Fraction
+        assert row == {(r.N1, r.N2): r for r in solve_factor_pairs(reduce(FAN_EQ))}[(48, 28)]
 
 
 class TestBackSubstitute:
@@ -454,7 +493,9 @@ class TestLazyImport:
             "assert 'edgegraceful.diophantine' in sys.modules\n"
             "assert 'fractions' not in sys.modules\n"
             "from edgegraceful import QuadraticDiophantine, reduce, solve_factor_pairs\n"
-            "solve_factor_pairs(reduce(QuadraticDiophantine(7, -2, 0, -5, -2, 0)))\n"
+            "rows = solve_factor_pairs(reduce(QuadraticDiophantine(7, -2, 0, -5, -2, 0)))\n"
+            "assert 'fractions' not in sys.modules\n"
+            "assert repr(rows[0].X) == 'Fraction(1345, 2)'\n"
             "assert 'fractions' in sys.modules\n"
         )
         subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import random
+import reprlib
 import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgegraceful import Graph, cycle, edge_orbits, fan, make_graph, path
+from edgegraceful import (
+    Graph, SearchOptions, classify_fans, cycle, edge_orbits, fan, lo_check, make_graph, path,
+)
 from edgegraceful import _orbits
+from edgegraceful.graphs import shown
 from support import (
     automorphism_edge_orbits, junk_values, random_simple_graph, shuffled_copy, small_corpus,
 )
@@ -152,6 +156,61 @@ class TestMakeGraph:
         g = make_graph(12, fan(1, 11).edges)
         assert g.p == 12
         assert g.q == 21
+
+
+BIG = 10**700  # 700 digits and 2326 bits, past a lowered limit of 640 digits
+
+
+@pytest.fixture
+def low_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.usefixtures("low_digit_limit")
+class TestMessagesPastTheDigitLimit:
+    """Range errors name an int too long to print by its size, so the
+    message survives Python's int-to-str digit limit."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: lo_check(-BIG, 1),
+         "vertex count must be nonnegative, got a negative 2326-bit integer"),
+        (lambda: lo_check(1, -BIG),
+         "edge count must be nonnegative, got a negative 2326-bit integer"),
+        (lambda: classify_fans(-BIG), "n_max must be positive, got a negative 2326-bit integer"),
+        (lambda: Graph(-BIG, []),
+         "vertex count must be nonnegative, got a negative 2326-bit integer"),
+        (lambda: Graph(3, [(0, BIG)]),
+         "edge (0,a 2326-bit integer) has an endpoint out of range [0, 3)"),
+        (lambda: Graph(BIG, [(0, -BIG)]),
+         "edge (0,a negative 2326-bit integer) has an endpoint out of range "
+         "[0, a 2326-bit integer)"),
+        (lambda: Graph(BIG, [(BIG - 1, BIG - 1)]),
+         "self-loop at vertex a 2326-bit integer is not allowed"),
+        (lambda: Graph(BIG, [(BIG - 1, 0), (0, BIG - 1)]),
+         "duplicate edge (0,a 2326-bit integer)"),
+        (lambda: Graph(3, [[BIG]]), "edge 0 is not a pair of vertices: [a 2326-bit integer]"),
+        (lambda: Graph([-BIG], []),
+         "vertex count must be an integer, got [a negative 2326-bit integer]"),
+        (lambda: fan(-BIG, 1), "fan requires m, n >= 1, got m=a negative 2326-bit integer, n=1"),
+        (lambda: fan(1, -BIG), "fan requires m, n >= 1, got m=1, n=a negative 2326-bit integer"),
+        (lambda: cycle(-BIG), "cycle requires n >= 3, got a negative 2326-bit integer"),
+        (lambda: path(-BIG), "path requires n >= 1, got a negative 2326-bit integer"),
+        (lambda: SearchOptions(limit=-BIG),
+         "limit must be >= 1 when given, got a negative 2326-bit integer"),
+        (lambda: SearchOptions(mode=BIG),
+         "mode must be one of ('first', 'all', 'count'), got a 2326-bit integer"),
+    ])
+    def test_message_names_the_int_by_its_size(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_other_values_print_as_reprlib_prints_them(self):
+        for value in (-12, True, 1.5, "x", -(10**639), [10**639], (0, 1, 2)):
+            assert shown(value) == reprlib.repr(value)
 
 
 class TestConstructorFuzz:
