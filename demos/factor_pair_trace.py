@@ -9,10 +9,9 @@ Rows whose back-substituted (x, y) are both integers are the solutions.
 from edgegraceful import QuadraticDiophantine, integer_solutions, reduce
 from edgegraceful.cli import main
 from edgegraceful.diophantine import factor_pair_trace
+from edgegraceful.lo import FAN_COEFFICIENTS
 
-COEFFICIENTS = (7, -2, 0, -5, -2, 0)
-
-eq = QuadraticDiophantine(*COEFFICIENTS)
+eq = QuadraticDiophantine(*FAN_COEFFICIENTS)
 form = reduce(eq)
 print(f"equation: {eq.a}x^2 + ({eq.b})xy + ({eq.d})x + ({eq.e})y = 0")
 print(f"reduced:  X^2 - {form.D}*Y^2 = {form.N}   "
@@ -20,7 +19,7 @@ print(f"reduced:  X^2 - {form.D}*Y^2 = {form.N}   "
 
 rows = factor_pair_trace(form)
 print(f"\n{len(rows)} factor-pair rows, as `edgegraceful dioph --trace` prints them:\n")
-assert main(["dioph", *map(str, COEFFICIENTS), "--trace"]) == 0
+assert main(["dioph", *map(str, FAN_COEFFICIENTS), "--trace"]) == 0
 
 print("\nintegral rows:")
 for r in rows:

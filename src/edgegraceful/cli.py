@@ -23,7 +23,7 @@ import sys
 from .graphs import Graph, cycle, fan, path
 from .labeling import EdgeLabeling, induce, verify
 from .lo import classify_fans, lo_check
-from .search import SearchOptions, search
+from .search import MODES, SearchOptions, search
 
 OK, NO, USAGE = 0, 1, 2
 
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="find or refute edge-graceful labelings")
     p_search.add_argument("input", nargs="?", default="-")
-    p_search.add_argument("--mode", choices=("first", "all", "count"), default="first")
+    p_search.add_argument("--mode", choices=MODES, default="first")
     p_search.add_argument("--limit", type=int, default=None)
     p_search.add_argument("--format", dest="fmt", choices=("labels", "dot"),
                           default="labels")

@@ -43,15 +43,17 @@ shown = _ShortRepr().repr
 class Record:
     """Base of the package's immutable records.
 
-    A subclass stores its values in ``__slots__`` and sets each one once in
-    its ``__init__`` with ``object.__setattr__``; later assignment or deletion
-    raises AttributeError.  Its fields, as the contract below reads them, are
-    ``_fields``: the ``__slots__`` of the class and of its record bases, in
-    order, unless the class names ``_fields`` itself, as ``FactorPairRow``
-    does for the values it computes on read.  Two records are equal, and hash
-    alike, when they share a class and their fields are equal; the repr names
-    every field; ``__reduce__`` calls the class with the fields in order, so
-    ``pickle`` and ``copy`` go through the public constructor.
+    A subclass stores its values in ``__slots__``.  Its fields, as the
+    contract below reads them, are ``_fields``: the ``__slots__`` of the class
+    and of its record bases, in order, unless the class names ``_fields``
+    itself, as ``FactorPairRow`` does for the values it computes on read.
+    The constructor stores the fields, given by position or by keyword, once
+    each; a record with checks or defaults ends its ``__init__`` with
+    ``super().__init__``.  Later assignment or deletion raises AttributeError.
+    Two records are equal, and hash alike, when they share a class and their
+    fields are equal; the repr names every field; ``__reduce__`` calls the
+    class with the fields in order, so ``pickle`` and ``copy`` go through the
+    public constructor.
     """
 
     __slots__ = ()
@@ -61,6 +63,18 @@ class Record:
         super().__init_subclass__(**kwargs)
         if "_fields" not in cls.__dict__:
             cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            rest = names[len(args):]
+            if len(args) > len(names) or kwargs.keys() != set(rest):
+                raise TypeError(
+                    f"{type(self).__qualname__}() takes {', '.join(names)} by position or "
+                    f"keyword, got {len(args)} by position and {sorted(kwargs)} by keyword")
+            args += tuple([kwargs[name] for name in rest])
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -133,8 +147,7 @@ class Graph(Record):
                 raise ValueError(f"duplicate edge ({shown(u)},{shown(v)})")
             seen.add(key)
             stored.append(e)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "edges", tuple(stored))
+        super().__init__(p, tuple(stored))
 
     @property
     def q(self) -> int:

@@ -46,17 +46,13 @@ class EdgeLabeling(Record):
         require_int("a label", *labels)
         if sorted(labels) != list(range(1, q + 1)):
             raise ValueError(f"labels must be a permutation of 1..{q}")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "labels", labels)
+        super().__init__(graph, labels)
 
 
 class InducedLabels(Record):
-    """Per-vertex residues in [0, p), indexed by vertex."""
+    """Per-vertex ``residues`` in [0, p), indexed by vertex."""
 
     __slots__ = ("residues",)
-
-    def __init__(self, residues: tuple[int, ...]) -> None:
-        object.__setattr__(self, "residues", residues)
 
 
 class Verdict(Record):
@@ -70,9 +66,7 @@ class Verdict(Record):
 
     def __init__(self, edge_graceful: bool, induced: InducedLabels,
                  witness: tuple[int, int] | None = None) -> None:
-        object.__setattr__(self, "edge_graceful", edge_graceful)
-        object.__setattr__(self, "induced", induced)
-        object.__setattr__(self, "witness", witness)
+        super().__init__(edge_graceful, induced, witness)
 
 
 def induce(labeling: EdgeLabeling) -> InducedLabels:

@@ -23,13 +23,10 @@ FAN_COEFFICIENTS = (7, -2, 0, -5, -2, 0)
 
 
 class LoReport(Record):
-    __slots__ = ("p", "q", "residual", "divides")
+    """Lo's screen for a graph of ``p`` vertices and ``q`` edges: ``divides``
+    is true when p divides ``residual`` = q^2 + q - p(p-1)/2."""
 
-    def __init__(self, p: int, q: int, residual: int, divides: bool) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "divides", divides)
+    __slots__ = ("p", "q", "residual", "divides")
 
 
 def lo_check(p: int, q: int) -> LoReport:
@@ -46,7 +43,7 @@ def lo_check(p: int, q: int) -> LoReport:
         raise ValueError(f"edge count must be nonnegative, got {shown(q)}")
     residual = q * q + q - p * (p - 1) // 2
     divides = residual % p == 0 if p else residual == 0
-    return LoReport(p=p, q=q, residual=residual, divides=divides)
+    return LoReport(p, q, residual, divides)
 
 
 def classify_fans(n_max: int) -> list[int]:

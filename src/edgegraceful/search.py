@@ -75,13 +75,13 @@ class SearchOptions(Record):
             require_int("limit", limit)
             if limit < 1:
                 raise ValueError(f"limit must be >= 1 when given, got {shown(limit)}")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "limit", limit)
+        super().__init__(mode, limit)
 
 
 class SearchOutcome(Record):
     """Result of a search run.
 
+    ``nodes_expanded`` counts the search nodes the run expanded.
     ``exhausted`` is true iff the whole assignment space was covered, i.e.
     the run was not cut short by mode "first" or by ``limit``.
     ``solution_count`` equals len(solutions) except in mode "count", where
@@ -89,13 +89,6 @@ class SearchOutcome(Record):
     """
 
     __slots__ = ("solutions", "solution_count", "nodes_expanded", "exhausted")
-
-    def __init__(self, solutions: tuple[EdgeLabeling, ...], solution_count: int,
-                 nodes_expanded: int, exhausted: bool) -> None:
-        object.__setattr__(self, "solutions", solutions)
-        object.__setattr__(self, "solution_count", solution_count)
-        object.__setattr__(self, "nodes_expanded", nodes_expanded)
-        object.__setattr__(self, "exhausted", exhausted)
 
 
 def completion_order(graph: Graph) -> list[int]:
@@ -155,7 +148,7 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     if q == 0:
         # p <= 1: the empty labeling is the one leaf, counted as record() would
         found = (EdgeLabeling(graph, ()),) if collect else ()
-        return SearchOutcome(found, 1, 0, exhausted=target is None or target > 1)
+        return SearchOutcome(found, 1, 0, target is None or target > 1)
 
     order = completion_order(graph)
     edges = [graph.edges[i] for i in order]
@@ -287,9 +280,4 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
                 return
 
     place(0)
-    return SearchOutcome(
-        solutions=tuple(solutions),
-        solution_count=count,
-        nodes_expanded=nodes,
-        exhausted=not stopped,
-    )
+    return SearchOutcome(tuple(solutions), count, nodes, not stopped)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -185,6 +186,12 @@ class TestDioph:
         )
         lines = [l for l in out.splitlines() if l.strip()]
         assert lines == ["(2, 3)", "(3, 6)", "(11, 33)"]
+
+    def test_no_solutions_in_text(self, capsys):
+        # 2x^2 + 2xy + 1 = 0: N = 32, and none of its factor-pair rows is integral
+        code, out, _ = run(capsys, "dioph", "2", "2", "0", "0", "0", "1")
+        assert code == 0
+        assert out == "no integer solutions\n"
 
     def test_trace_table(self, capsys):
         code, out, _ = run(capsys, "dioph", "7", "-2", "0", "-5", "-2", "0", "--trace")
@@ -395,6 +402,14 @@ class TestVerify:
         assert "Traceback" not in err
         assert out == ""
 
+    def test_labels_string_is_malformed(self, capsys, monkeypatch):
+        # "" would otherwise pass as the empty labeling of the one-vertex graph
+        doc = json.dumps({"graph": {"p": 1, "edges": []}, "labels": ""})
+        code, out, err = run_with_stdin(capsys, monkeypatch, doc, "verify", "-")
+        assert code == 2
+        assert "'labels' must be an integer array" in err
+        assert out == ""
+
     def test_json_format(self, capsys, monkeypatch):
         doc = json.dumps({"graph": graph_to_doc(fan(1, 2)), "labels": [1, 2, 3]})
         code, out, _ = run_with_stdin(
@@ -428,6 +443,19 @@ class TestClassifyFans:
             lab = labeling_from_doc(doc["witnesses"][str(n)])
             assert lab.graph == fan(1, n)
             assert verify(lab).edge_graceful
+
+    def test_confirm_search_in_text(self, capsys):
+        code, out, _ = run(capsys, "classify-fans", "--max", "100", "--confirm-search")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].endswith(": 2 3 11")
+        witnesses = [re.fullmatch(r"n=(\d+): labels (\[.*\]) residues (\[.*\])", line)
+                     for line in lines[1:]]
+        assert [int(m[1]) for m in witnesses] == [2, 3, 11]
+        for m in witnesses:
+            verdict = verify(EdgeLabeling(fan(1, int(m[1])), json.loads(m[2])))
+            assert verdict.edge_graceful
+            assert list(verdict.induced.residues) == json.loads(m[3])
 
 
 class TestPipeline:

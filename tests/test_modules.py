@@ -24,3 +24,22 @@ def test_no_private_name_is_imported_from_a_sibling(path):
         if alias.name.startswith("_")
     ]
     assert not private, private
+
+
+# the classes that may write a record's slots: Record's constructor stores
+# every record, and FactorPairRow stores numerators in place of its fields
+SLOT_WRITERS = {("graphs.py", "Record"), ("diophantine.py", "FactorPairRow")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_record_and_factor_pair_row_use_object_setattr(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    writers = [
+        f"line {node.lineno}: in {getattr(top, 'name', 'module scope')}"
+        for top in tree.body
+        if (path.name, getattr(top, "name", None)) not in SLOT_WRITERS
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ]
+    assert not writers, writers

@@ -93,5 +93,47 @@ class TestRecordContract:
             assert f"{name}={value!r}" in text
 
 
+# fields a constructor may leave out, with the value it then stores
+DEFAULTS = {"Verdict": {"witness": None}, "SearchOptions": {"mode": "first", "limit": None}}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+class TestConstructorContract:
+    def test_missing_field_raises_type_error(self, record):
+        cls = type(record)
+        by_name = dict(zip(cls._fields, fields(record)))
+        for name in cls._fields:
+            rest = {k: v for k, v in by_name.items() if k != name}
+            if name in DEFAULTS.get(cls.__name__, {}):
+                assert getattr(cls(**rest), name) == DEFAULTS[cls.__name__][name]
+            else:
+                with pytest.raises(TypeError):
+                    cls(**rest)
+        if cls.__name__ not in DEFAULTS:
+            with pytest.raises(TypeError):
+                cls()
+            with pytest.raises(TypeError):
+                cls(*fields(record)[:-1])
+
+    def test_field_given_by_position_and_by_keyword_raises_type_error(self, record):
+        cls = type(record)
+        for name, value in zip(cls._fields, fields(record)):
+            with pytest.raises(TypeError):
+                cls(*fields(record), **{name: value})
+        with pytest.raises(TypeError):
+            cls(fields(record)[0], **dict(zip(cls._fields, fields(record))))
+
+    def test_one_positional_argument_too_many_raises_type_error(self, record):
+        with pytest.raises(TypeError):
+            type(record)(*fields(record), fields(record)[0])
+
+    def test_keywords_in_any_order_equal_positions(self, record):
+        cls = type(record)
+        pairs = list(zip(cls._fields, fields(record)))
+        for order in (pairs[::-1], pairs[1:] + pairs[:1], pairs[::2] + pairs[1::2]):
+            assert cls(**dict(order)) == cls(*fields(record))
+        assert cls(pairs[0][1], **dict(pairs[:0:-1])) == record
+
+
 def test_readme_repr():
     assert repr(lo_check(12, 21)) == "LoReport(p=12, q=21, residual=396, divides=True)"
