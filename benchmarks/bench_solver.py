@@ -20,11 +20,12 @@ times three layers with ``time.perf_counter``:
 - search: ``search`` in modes "count" and "first" on ``SEARCH_GRAPHS``,
   where mode "first" is exhaustive on the graphs that have no labeling;
 - startup: the wall time of a whole child interpreter per command of
-  ``STARTUP_COMMANDS`` (a bare interpreter, the import of ``edgegraceful.cli``
-  and two CLI calls), the sides alternating which goes first on each command.
+  ``STARTUP_COMMANDS`` (a bare interpreter, the imports of ``edgegraceful``
+  and of ``edgegraceful.cli``, a call of ``classify_fans`` alone and two CLI
+  calls), the sides alternating which goes first on each command.
 
-Row, solution and node counts, the first-mode witnesses and the CLI calls'
-stdout are deterministic and must agree on both sides; the script exits 1
+Row, solution and node counts, the first-mode witnesses and every start-up
+command's stdout are deterministic and must agree on both sides; the script exits 1
 when they do not.
 
 ``perfbench/run.py --trace 1`` reports each layer only as totals over
@@ -57,7 +58,9 @@ SEARCH_MODES = ("count", "first")
 STARTUP_ROUNDS = 25  # child processes per side and command
 STARTUP_COMMANDS = (
     ("python -c pass", ["-c", "pass"]),
+    ("import edgegraceful", ["-c", "import edgegraceful"]),
     ("import edgegraceful.cli", ["-c", "import edgegraceful.cli"]),
+    ("classify_fans(100)", ["-c", "import edgegraceful as eg; print(eg.classify_fans(100))"]),
     ("lo --p 12 --q 21", ["-m", "edgegraceful", "lo", "--p", "12", "--q", "21",
                           "--format", "json"]),
     ("dioph 7 -2 0 -5 -2 0", ["-m", "edgegraceful", "dioph", "7", "-2", "0", "-5", "-2", "0",

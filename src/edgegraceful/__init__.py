@@ -5,19 +5,18 @@ the necessary divisibility screen; an exact factor-pair solver for the
 associated quadratic Diophantine equations; and a pruned backtracking search
 that constructs or exhaustively refutes labelings.
 
-The screen (``lo``), the solver (``diophantine``) and the edge-orbit search
-(``_orbits``) are imported on first use of one of their names, so a program
-that only generates, searches or verifies does not compile them; a search in
-mode "count" loads ``_orbits`` itself.
+Every public name is imported from its module on first use, so a program
+compiles only the modules whose names it reads.
 """
 
 import importlib
 
-from .graphs import Graph, cycle, fan, make_graph, path
-from .labeling import EdgeLabeling, InducedLabels, Verdict, induce, verify
-from .search import SearchOptions, SearchOutcome, completion_order, search
-
 _LAZY = {
+    **dict.fromkeys(("Graph", "make_graph", "fan", "cycle", "path"), "graphs"),
+    **dict.fromkeys(("EdgeLabeling", "InducedLabels", "Verdict", "induce", "verify"),
+                    "labeling"),
+    **dict.fromkeys(("SearchOptions", "SearchOutcome", "search", "completion_order"),
+                    "_search"),
     **dict.fromkeys(("LoReport", "lo_check", "classify_fans"), "lo"),
     "edge_orbits": "_orbits",
     **dict.fromkeys(
@@ -37,9 +36,4 @@ def __getattr__(name: str):
     return value
 
 
-__all__ = [
-    "Graph", "make_graph", "fan", "cycle", "path",
-    "EdgeLabeling", "InducedLabels", "Verdict", "induce", "verify",
-    "SearchOptions", "SearchOutcome", "search", "completion_order",
-    *_LAZY,
-]
+__all__ = list(_LAZY)

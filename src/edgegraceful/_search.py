@@ -99,7 +99,10 @@ def completion_order(graph: Graph) -> list[int]:
     walks the path outward from one end, completing a vertex every two edges,
     which is where the residue pruning bites.
     """
-    remaining = graph.degrees()
+    remaining = [0] * graph.p  # incident edges not yet placed, per vertex
+    for u, v in graph.edges:
+        remaining[u] += 1
+        remaining[v] += 1
     taken = [False] * graph.q
     order: list[int] = []
     for _ in range(graph.q):

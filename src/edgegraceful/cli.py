@@ -23,7 +23,7 @@ import sys
 from .graphs import Graph, cycle, fan, path
 from .labeling import EdgeLabeling, induce, verify
 from .lo import classify_fans, lo_check
-from .search import MODES, SearchOptions, search
+from ._search import MODES, SearchOptions, search
 
 OK, NO, USAGE = 0, 1, 2
 

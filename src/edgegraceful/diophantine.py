@@ -246,13 +246,12 @@ def _pollard_brent(n: int) -> int:
 def _ordered_factor_pairs(N: int) -> list[tuple[int, int]]:
     # Table layout: |N1| < |N2| block ascending, then its mirror, for positive
     # N1 first and the sign-flipped rows after; a perfect-square middle pair
-    # sits once between a block and its mirror.
-    divs = positive_divisors(N)
-    small = [t for t in divs if t * t < abs(N)]
-    middle = [t for t in divs if t * t == abs(N)]
-    half = [(t, N // t) for t in small]
-    half += [(t, N // t) for t in middle]
-    half += [(N // t, t) for t in small]
+    # sits once between a block and its mirror.  The divisors ascend, so the
+    # square root, when there is one, is the last t with t*t <= |N|.
+    n = abs(N)
+    low = [t for t in positive_divisors(N) if t * t <= n]
+    half = [(t, N // t) for t in low]
+    half += [(N // t, t) for t in low if t * t < n]
     return half + [(-n1, -n2) for (n1, n2) in half]
 
 

@@ -154,13 +154,6 @@ class Graph(Record):
         """Number of edges."""
         return len(self.edges)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.p
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
 
 # the historical name of the constructor, kept for callers that use it
 make_graph = Graph

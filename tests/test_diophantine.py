@@ -529,6 +529,29 @@ class TestLazyImport:
         )
         subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
 
+    def test_package_import_loads_no_submodule(self):
+        code = ("import sys, edgegraceful; "
+                "loaded = sorted(m for m in sys.modules if m.startswith('edgegraceful.')); "
+                "assert not loaded, loaded")
+        subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
+
+    def test_screen_and_solver_do_not_load_search_or_labeling(self):
+        code = ("import sys, edgegraceful as eg; "
+                "assert eg.classify_fans(20) == [2, 3, 11]; "
+                "eq = eg.QuadraticDiophantine(7, -2, 0, -5, -2, 0); "
+                "assert eg.integer_solutions(eq); "
+                "loaded = {'edgegraceful.search', 'edgegraceful._search', "
+                "'edgegraceful.labeling'} & set(sys.modules); "
+                "assert not loaded, sorted(loaded)")
+        subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
+
+    def test_search_is_the_function_after_the_cli_is_imported(self):
+        # importing a submodule binds its name on the package; no submodule
+        # may be named like the public function it would then shadow
+        code = ("import edgegraceful.cli, edgegraceful as eg; "
+                "assert eg.search(eg.fan(1, 2)).solution_count == 1")
+        subprocess.run([sys.executable, "-c", code], env=src_env(), check=True)
+
     def test_every_public_name_resolves(self):
         import edgegraceful
         for name in edgegraceful.__all__:

@@ -6,6 +6,7 @@ import ast
 
 import pytest
 
+import edgegraceful
 from support import SRC
 
 MODULES = sorted((SRC / "edgegraceful").glob("*.py"))
@@ -43,3 +44,10 @@ def test_only_record_and_factor_pair_row_use_object_setattr(path):
         and isinstance(node.value, ast.Name) and node.value.id == "object"
     ]
     assert not writers, writers
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_is_named_like_a_public_name(path):
+    # importing edgegraceful.<stem> binds the module as the package attribute
+    # <stem>, which would shadow a public name loaded on first use
+    assert path.stem not in edgegraceful.__all__

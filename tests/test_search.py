@@ -18,7 +18,7 @@ from edgegraceful import (
     search,
     verify,
 )
-from edgegraceful.search import STACK_MARGIN
+from edgegraceful._search import STACK_MARGIN
 from edgegraceful import _orbits
 from support import all_graceful_oracle, count_graceful_oracle, shuffled_copy, small_corpus
 
