@@ -15,8 +15,7 @@ _LAZY = {
     **dict.fromkeys(("Graph", "make_graph", "fan", "cycle", "path"), "graphs"),
     **dict.fromkeys(("EdgeLabeling", "InducedLabels", "Verdict", "induce", "verify"),
                     "labeling"),
-    **dict.fromkeys(("SearchOptions", "SearchOutcome", "search", "completion_order"),
-                    "_search"),
+    **dict.fromkeys(("SearchOptions", "SearchOutcome", "search"), "_search"),
     **dict.fromkeys(("LoReport", "lo_check", "classify_fans"), "lo"),
     "edge_orbits": "_orbits",
     **dict.fromkeys(

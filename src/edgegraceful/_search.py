@@ -18,9 +18,9 @@ label.  Before a label is placed, the residues it would finalize are checked;
 if one is already held by another finalized vertex (or both endpoints would
 finalize the same residue) the label is rejected before any state changes,
 so every leaf reached is valid.  Edges are placed in ``completion_order``,
-which finalizes vertices as early as possible.  ``nodes_expanded`` counts
-the labels tried in the class tree, the rejected ones included, not
-labelings.
+which finalizes vertices as early as possible and marks the ones each
+position completes.  ``nodes_expanded`` counts the labels tried in the class
+tree, the rejected ones included, not labelings.
 
 Mode "count" also breaks the graph's symmetry when q < 2p.  Then the label
 L = max(q - p, 0) + 1 is the only one in its residue class, so no
@@ -91,20 +91,21 @@ class SearchOutcome(Record):
     __slots__ = ("solutions", "solution_count", "nodes_expanded", "exhausted")
 
 
-def completion_order(graph: Graph) -> list[int]:
+def completion_order(graph: Graph) -> list[tuple[int, bool, bool]]:
     """Edge order that finalizes low-degree vertices as early as possible.
 
     Greedy: repeatedly take the edge whose endpoint is closest to having all
     its incident edges placed (ties to the lowest edge index).  On a fan this
     walks the path outward from one end, completing a vertex every two edges,
-    which is where the residue pruning bites.
+    which is where the residue pruning bites.  Each step ``(i, u_done,
+    v_done)`` places edge ``i = (u, v)`` and flags the endpoints it completes.
     """
     remaining = [0] * graph.p  # incident edges not yet placed, per vertex
     for u, v in graph.edges:
         remaining[u] += 1
         remaining[v] += 1
     taken = [False] * graph.q
-    order: list[int] = []
+    steps: list[tuple[int, bool, bool]] = []
     for _ in range(graph.q):
         best = -1
         best_key = None
@@ -118,8 +119,8 @@ def completion_order(graph: Graph) -> list[int]:
         remaining[u] -= 1
         remaining[v] -= 1
         taken[best] = True
-        order.append(best)
-    return order
+        steps.append((best, remaining[u] == 0, remaining[v] == 0))
+    return steps
 
 
 def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
@@ -153,27 +154,16 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
         found = (EdgeLabeling(graph, ()),) if collect else ()
         return SearchOutcome(found, 1, 0, target is None or target > 1)
 
-    order = completion_order(graph)
-    edges = [graph.edges[i] for i in order]
-
-    # whether the edge at each position is the last one of its u, of its v:
-    # only those two vertices can have their residue finalized there
-    u_completes = [False] * q
-    v_completes = [False] * q
-    seen: set[int] = set()
-    for pos in range(q - 1, -1, -1):
-        u, v = edges[pos]
-        u_completes[pos] = u not in seen
-        v_completes[pos] = v not in seen
-        seen.update((u, v))
+    steps = completion_order(graph)
+    order = [i for i, _, _ in steps]
 
     # labelings each leaf stands for: rem classes hold k+1 labels, p-rem hold k
     k, rem = divmod(q, p)
     weight = factorial(k + 1) ** rem * factorial(k) ** (p - rem)
 
     all_labels = tuple(range(1, q + 1))
-    labels_at = [all_labels] * q  # the labels each position tries
     sym_label, forced_pos, orbit_size_at = 0, -1, []  # 0: no symmetry breaking
+    reps, without_sym = range(q), ()  # the positions that try every label
     if not collect and q < 2 * p:
         # symmetry breaking (module docstring): sym_label, alone in its class,
         # goes on each orbit's first-placed edge only; the orbit search is
@@ -186,12 +176,13 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
         rep_pos: dict[int, int] = {}
         for pos, i in enumerate(order):
             rep_pos.setdefault(orbit[i], pos)
-        forced_pos = max(rep_pos.values())
+        reps = set(rep_pos.values())
+        forced_pos = max(reps)
         without_sym = tuple(lab for lab in all_labels if lab != sym_label)
-        labels_at = [without_sym] * q
-        for pos in rep_pos.values():
-            labels_at[pos] = all_labels
         orbit_size_at = [orbit_size[orbit[i]] for i in order]
+    # per position: the edge, whether it completes u and v, the labels it tries
+    plan = [(*graph.edges[i], u_done, v_done, all_labels if pos in reps else without_sym)
+            for pos, (i, u_done, v_done) in enumerate(steps)]
 
     used = [False] * (q + 1)
     sums = [0] * p
@@ -239,11 +230,9 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
 
     def place(pos: int) -> None:
         nonlocal nodes
-        u, v = edges[pos]
-        cu, cv = u_completes[pos], v_completes[pos]
+        u, v, cu, cv, labels = plan[pos]
         su, sv = sums[u], sums[v]  # children restore them before returning
         last = pos + 1 == q
-        labels = labels_at[pos]
         if pos == forced_pos and not used[sym_label]:
             labels = (sym_label,)  # the last representative: nowhere else is left
         for lab in labels:

@@ -184,6 +184,7 @@ def cmd_dioph(args) -> int:
 
 
 def cmd_search(args) -> int:
+    options = SearchOptions(mode=args.mode, limit=args.limit)  # checked before stdin is read
     graph = graph_from_doc(_read_json(args.input))
     if not lo_check(graph.p, graph.q).divides:
         # advisory only: the screen is necessary, so the search must come up
@@ -193,7 +194,7 @@ def cmd_search(args) -> int:
             "screen; no labeling can exist",
             file=sys.stderr,
         )
-    outcome = search(graph, SearchOptions(mode=args.mode, limit=args.limit))
+    outcome = search(graph, options)
     if args.mode == "count":
         print(f"solutions = {outcome.solution_count}")
     elif args.fmt == "dot":

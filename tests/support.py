@@ -146,6 +146,32 @@ def fan_scan_oracle(n_max: int) -> list[int]:
     return [n for n in range(1, n_max + 1) if (7 * n * n - 5 * n) % (2 * n + 2) == 0]
 
 
+def completion_order_oracle(graph: Graph) -> list[int]:
+    """The greedy edge order from its rule, recounted at every step: the untaken
+    edge with an endpoint that has the fewest untaken edges, lowest index first."""
+    untaken = list(range(graph.q))
+    order = []
+    while untaken:
+        def left(w: int) -> int:
+            return sum(w in graph.edges[j] for j in untaken)
+        best = min(untaken, key=lambda i: (min(map(left, graph.edges[i])), i))
+        untaken.remove(best)
+        order.append(best)
+    return order
+
+
+def completion_flags_oracle(graph: Graph, order) -> list[tuple[bool, bool]]:
+    """Per position of ``order``, whether its edge is the last one of its u, of
+    its v, by a reverse pass: an endpoint no later edge touches completes there."""
+    flags = []
+    seen: set[int] = set()
+    for i in reversed(order):
+        u, v = graph.edges[i]
+        flags.append((u not in seen, v not in seen))
+        seen.update((u, v))
+    return flags[::-1]
+
+
 def random_simple_graph(rng: random.Random, max_p: int = 7, max_q: int = 8) -> Graph:
     """A random simple graph with 1 <= q <= max_q edges."""
     while True:

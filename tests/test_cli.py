@@ -361,6 +361,16 @@ class TestSearch:
         assert code == 0
         assert err == ""
 
+    def test_bad_limit_fails_before_the_input_is_read(self, capsys, monkeypatch):
+        # {"p": 2, "edges": []} fails the screen, so reading it would warn first
+        code, out, err = run_with_stdin(
+            capsys, monkeypatch, '{"p": 2, "edges": []}', "search", "-", "--limit", "0"
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert "warning" not in err
+        assert out == ""
+
 
 class TestVerify:
     def test_cycle5_sequential_valid(self, capsys, monkeypatch):

@@ -5,11 +5,12 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgegraceful import (
     EdgeLabeling,
     SearchOptions,
-    completion_order,
     cycle,
     fan,
     lo_check,
@@ -18,9 +19,17 @@ from edgegraceful import (
     search,
     verify,
 )
-from edgegraceful._search import STACK_MARGIN
+from edgegraceful._search import STACK_MARGIN, completion_order
 from edgegraceful import _orbits
-from support import all_graceful_oracle, count_graceful_oracle, shuffled_copy, small_corpus
+from support import (
+    all_graceful_oracle,
+    completion_flags_oracle,
+    completion_order_oracle,
+    count_graceful_oracle,
+    random_simple_graph,
+    shuffled_copy,
+    small_corpus,
+)
 
 # mode-"first" witnesses: trying each residue class once per level must find
 # the same first labeling as trying every unused label
@@ -82,17 +91,43 @@ class TestOptions:
             SearchOptions(mode="count", limit=limit)
 
 
+def assert_steps_match_oracles(g) -> None:
+    steps = completion_order(g)
+    order = [i for i, _, _ in steps]
+    assert order == completion_order_oracle(g)
+    assert [(u_done, v_done) for _, u_done, v_done in steps] == completion_flags_oracle(g, order)
+
+
 class TestCompletionOrder:
     def test_is_a_permutation_of_edge_indices(self):
         for g in (fan(1, 5), cycle(6), path(7), fan(2, 3)):
-            order = completion_order(g)
+            order = [i for i, _, _ in completion_order(g)]
             assert sorted(order) == list(range(g.q))
+
+    def test_is_the_kernel_plan_not_a_public_name(self):
+        import edgegraceful
+
+        assert "completion_order" not in edgegraceful.__all__
+        with pytest.raises(AttributeError):
+            edgegraceful.completion_order
 
     def test_fan_order_walks_the_path(self):
         # early prefix completes the first path vertex after two edges
         g = fan(1, 11)
-        order = completion_order(g)
-        assert order[:2] == [0, 11]  # (hub, p1) then (p1, p2)
+        steps = completion_order(g)
+        # (hub, p1) then (p1, p2), which completes p1
+        assert steps[:2] == [(0, False, False), (11, True, False)]
+
+    def test_matches_the_oracles_on_the_corpus_and_shuffles(self):
+        rng = random.Random(2024)
+        for g in small_corpus():
+            for h in (g, shuffled_copy(g, rng), shuffled_copy(g, rng)):
+                assert_steps_match_oracles(h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_the_oracles_on_random_graphs(self, rng):
+        assert_steps_match_oracles(random_simple_graph(rng, max_p=9, max_q=14))
 
 
 class TestSearchFirst:
