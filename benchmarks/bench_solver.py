@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Time the factor-pair solver, the search kernel and the start-up of two
-versions of the package on one machine.
+"""Time the factor-pair solver, the search kernel, its edge order and the
+start-up of two versions of the package on one machine.
 
 Usage (from the repository root):
 
     python3 benchmarks/bench_solver.py --before REV --out BENCH.json
+        [--records BEFORE_RUN.json AFTER_RUN.json ...]
 
 The before side is the ``src/`` of git revision REV, extracted with
 ``git archive``; the after side is the working tree's ``src/``.  Each side
 runs in its own child process, the two alternating which goes first, and
-times three layers with ``time.perf_counter``:
+times four layers with ``time.perf_counter``:
 
 - solver: ``integer_solutions(eq)``, ``solve_factor_pairs(reduce(eq))``
   alone, and ``solve_factor_pairs(reduce(eq))`` followed by a read of X, Y,
@@ -19,14 +20,24 @@ times three layers with ``time.perf_counter``:
   building a row to reading it in view;
 - search: ``search`` in modes "count" and "first" on ``SEARCH_GRAPHS``,
   where mode "first" is exhaustive on the graphs that have no labeling;
+- order: one ``_search.completion_order`` call on each of ``ORDER_GRAPHS``,
+  fans large enough that the edge order alone takes measurable time;
 - startup: the wall time of a whole child interpreter per command of
   ``STARTUP_COMMANDS`` (a bare interpreter, the imports of ``edgegraceful``
   and of ``edgegraceful.cli``, a call of ``classify_fans`` alone and two CLI
   calls), the sides alternating which goes first on each command.
 
-Row, solution and node counts, the first-mode witnesses and every start-up
-command's stdout are deterministic and must agree on both sides; the script exits 1
-when they do not.
+Row, solution and node counts, the first-mode witnesses, the edge orders'
+steps and every start-up command's stdout are deterministic and must agree
+on both sides; the script exits 1 when they do not.
+
+Each ``--records`` pair names two ``perfbench/run.py`` run records of the
+same workload and seed, one per side.  Their ``nodes_expanded_per_task``
+lists hold the same pool of tasks in the same order, so the script adds one
+row per task kind comparing the two sides task by task: how many tasks
+expanded fewer, as many or more nodes, and the total, median, 90th
+percentile and maximum of each side.  These counts may differ by design
+(an edge order change moves shuffled tasks), so they never fail the run.
 
 ``perfbench/run.py --trace 1`` reports each layer only as totals over
 however many tasks a timed run completes, so its counters differ between a
@@ -37,6 +48,7 @@ inputs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -55,6 +67,7 @@ SEARCH_GRAPHS = (("F_1_5", "fan", (1, 5)), ("F_1_6", "fan", (1, 6)), ("F_2_4", "
                  ("C_9", "cycle", (9,)), ("C_11", "cycle", (11,)), ("P_10", "path", (10,)),
                  ("K_5", "complete", (5,)))
 SEARCH_MODES = ("count", "first")
+ORDER_GRAPHS = (("F_3_309", "fan", (3, 309)), ("F_4_836", "fan", (4, 836)))
 STARTUP_ROUNDS = 25  # child processes per side and command
 STARTUP_COMMANDS = (
     ("python -c pass", ["-c", "pass"]),
@@ -68,6 +81,7 @@ STARTUP_COMMANDS = (
 )
 SOLVER_COUNTS = ("rows", "integral_rows", "solutions")
 SEARCH_COUNTS = ("solution_count", "nodes_expanded", "exhausted", "witness")
+ORDER_COUNTS = ("q", "steps_sha256")
 
 
 def equations() -> list[tuple[str, list[int]]]:
@@ -103,6 +117,22 @@ def time_search(eg) -> list[dict]:
     return out
 
 
+def time_order(eg) -> list[dict]:
+    """Per graph, the time (s) of one completion_order call and a digest of its steps."""
+    from edgegraceful._search import completion_order
+
+    out = []
+    for name, family, args in ORDER_GRAPHS:
+        graph = search_graph(eg, family, args)
+        t0 = time.perf_counter()  # one call: F_{4,836} took seconds with a rescan per step
+        steps = completion_order(graph)
+        elapsed = time.perf_counter() - t0
+        out.append({"graph": name, "q": graph.q,
+                    "steps_sha256": hashlib.sha256(repr(steps).encode()).hexdigest(),
+                    "order_s": elapsed})
+    return out
+
+
 def time_solver(eg) -> list[dict]:
     """Per equation, the median call times (s) and the counts."""
     out = []
@@ -132,13 +162,14 @@ def time_solver(eg) -> list[dict]:
 
 
 def child(src: str) -> None:
-    """Print both layers' rows as one JSON object."""
+    """Print the solver, search and order layers' rows as one JSON object."""
     sys.path.insert(0, src)
     import edgegraceful as eg
 
     if not Path(eg.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise RuntimeError(f"imported edgegraceful from {eg.__file__}, not from {src}")
-    json.dump({"solver": time_solver(eg), "search": time_search(eg)}, sys.stdout)
+    json.dump({"solver": time_solver(eg), "search": time_search(eg), "order": time_order(eg)},
+              sys.stdout)
 
 
 def time_startup(sides: dict[str, str]) -> tuple[list[dict], list[str]]:
@@ -165,6 +196,36 @@ def time_startup(sides: dict[str, str]) -> tuple[list[dict], list[str]]:
         row["ratio"] = round(row["after"]["median_ms"] / row["before"]["median_ms"], 3)
         rows.append(row)
     return rows, [name for name, out in stdout.items() if len(set(out.values())) > 1]
+
+
+def nodes_rows(before_path: str, after_path: str) -> list[dict]:
+    """Per task kind of one workload's pool, the two sides' nodes_expanded
+    compared task by task, from two perfbench run records."""
+    sides = [json.loads(Path(path).read_text()) for path in (before_path, after_path)]
+    for key in ("workload", "seed"):
+        if sides[0][key] != sides[1][key]:
+            raise SystemExit(f"--records {before_path} {after_path}: {key} differs")
+    tasks = [side["nodes_expanded_per_task"] for side in sides]
+    if [t["task"] for t in tasks[0]] != [t["task"] for t in tasks[1]]:
+        raise SystemExit(f"--records {before_path} {after_path}: the pools differ")
+    per_kind: dict[str, list[tuple[int, int]]] = {}
+    for b, a in zip(*tasks):
+        per_kind.setdefault(b["task"], []).append((b["nodes_expanded"], a["nodes_expanded"]))
+
+    def summary(nodes: list[int]) -> dict:
+        return {"total": sum(nodes), "median": statistics.median(nodes),
+                "p90": statistics.quantiles(nodes, n=10, method="inclusive")[8],
+                "max": max(nodes)}
+
+    rows = []
+    for kind, pairs in sorted(per_kind.items()):
+        rows.append({
+            "workload": sides[0]["workload"], "seed": sides[0]["seed"], "task": kind,
+            "tasks": len(pairs), "fewer": sum(a < b for b, a in pairs),
+            "same": sum(a == b for b, a in pairs), "more": sum(a > b for b, a in pairs),
+            "before": summary([b for b, _ in pairs]), "after": summary([a for _, a in pairs]),
+        })
+    return rows
 
 
 def git(*args: str) -> str:
@@ -221,6 +282,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before")
     parser.add_argument("--out")
+    parser.add_argument("--records", nargs=2, action="append", default=[],
+                        metavar=("BEFORE_RUN", "AFTER_RUN"))
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
@@ -228,6 +291,7 @@ def main() -> int:
         return 0
     if not args.before or not args.out:
         parser.error("--before and --out are required")
+    task_nodes_rows = [row for pair in args.records for row in nodes_rows(*pair)]
 
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"before": extract(args.before, Path(tmp, "before").resolve()),
@@ -244,11 +308,12 @@ def main() -> int:
                                       SOLVER_COUNTS, solver_metrics)
     search_rows, search_bad = compare(runs, "search", ("graph", "mode"),
                                       SEARCH_COUNTS, ("search_s",))
+    order_rows, order_bad = compare(runs, "order", ("graph",), ORDER_COUNTS, ("order_s",))
     record = {
         "what": "integer_solutions, solve_factor_pairs alone and solve_factor_pairs "
                 "with a read of X, Y, x and y of every row, per equation of "
-                "perfbench/expected.json, search per graph and mode, and child "
-                "start-up per command, before and after",
+                "perfbench/expected.json, search per graph and mode, completion_order "
+                "per graph, and child start-up per command, before and after",
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {platform.system()}, "
                    f"{len(os.sched_getaffinity(0))} CPUs available",
@@ -256,25 +321,29 @@ def main() -> int:
         "git_sha_after": f"working tree on {git('rev-parse', 'HEAD')}",
         "method": f"each side in its own child process, {ROUNDS} children per side "
                   f"alternating which goes first; per child, the median of {REPEATS} "
-                  "calls per equation and of 1 per graph and mode; "
+                  "calls per equation and of 1 per graph and mode or per order; "
                   "per row, the median over the children; seconds; start-up: "
                   f"{STARTUP_ROUNDS} children per side and command, alternating which "
                   "side goes first, median and quartiles in ms",
         "solver_totals_s": totals(solver_rows, solver_metrics),
         "search_totals_s": totals(search_rows, ("search_s",)),
-        "counts_identical": not (solver_bad or search_bad or startup_bad),
+        "order_totals_s": totals(order_rows, ("order_s",)),
+        "counts_identical": not (solver_bad or search_bad or order_bad or startup_bad),
         "startup_rows": [],
         "search_rows": [],
+        "order_rows": [],
+        "task_nodes_rows": [],
         "solver_rows": [],
     }
     # one line per row keeps the file short enough to read
     text = json.dumps(record, indent=1)
     for key, rows in (("startup_rows", startup_rows), ("search_rows", search_rows),
+                      ("order_rows", order_rows), ("task_nodes_rows", task_nodes_rows),
                       ("solver_rows", solver_rows)):
         text = text.replace(f'"{key}": []', f'"{key}": [\n  '
                             + ",\n  ".join(json.dumps(row) for row in rows) + "\n ]")
     Path(args.out).write_text(text + "\n")
-    bad = solver_bad + search_bad + startup_bad
+    bad = solver_bad + search_bad + order_bad + startup_bad
     if bad:
         print(f"counts, witnesses or output differ on: {', '.join(bad)}", file=sys.stderr)
         return 1

@@ -19,8 +19,12 @@ if one is already held by another finalized vertex (or both endpoints would
 finalize the same residue) the label is rejected before any state changes,
 so every leaf reached is valid.  Edges are placed in ``completion_order``,
 which finalizes vertices as early as possible and marks the ones each
-position completes.  ``nodes_expanded`` counts the labels tried in the class
-tree, the rejected ones included, not labelings.
+position completes.  It picks the whole order in one heap pass, and among
+edges that are equally close to completing a vertex it prefers one at a
+vertex that already has a placed edge, so a path is walked from one end to
+the other however the input lists its edges.  ``nodes_expanded``
+counts the labels tried in the class tree, the rejected ones included, not
+labelings.
 
 Mode "count" also breaks the graph's symmetry when q < 2p.  Then the label
 L = max(q - p, 0) + 1 is the only one in its residue class, so no
@@ -48,6 +52,7 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import Counter
+from heapq import heapify, heappop, heappush
 from math import factorial
 
 from .graphs import Graph, Record, require_int, shown
@@ -95,31 +100,65 @@ def completion_order(graph: Graph) -> list[tuple[int, bool, bool]]:
     """Edge order that finalizes low-degree vertices as early as possible.
 
     Greedy: repeatedly take the edge whose endpoint is closest to having all
-    its incident edges placed (ties to the lowest edge index).  On a fan this
-    walks the path outward from one end, completing a vertex every two edges,
-    which is where the residue pruning bites.  Each step ``(i, u_done,
-    v_done)`` places edge ``i = (u, v)`` and flags the endpoints it completes.
+    its incident edges placed; among those, one with an endpoint that is
+    already started (has a placed edge), then the lowest edge index.  On a
+    fan this walks the path outward from one end, completing a vertex every
+    two edges, which is where the residue pruning bites.  The started-first
+    tie keeps a path's walk on one growing segment wherever its edges are
+    listed, so a shuffled path is ordered end to end like a plain one.  Each
+    step ``(i, u_done, v_done)`` places edge ``i = (u, v)`` and flags the
+    endpoints it completes.
+
+    One heap pass: edge i's key ``(2 * min count + neither started) * q + i``
+    only falls, so it is pushed again when it drops and a popped entry that
+    is no longer the edge's key is skipped.  Placing an edge at w walks w's
+    edges to lower their keys, unless no key there can fall: w is complete,
+    or w was already started and its count is at least the degree of each
+    neighbour.  So a hub is walked only at its first and last few
+    placements, not once per placement.
     """
-    remaining = [0] * graph.p  # incident edges not yet placed, per vertex
-    for u, v in graph.edges:
+    p, q, edges = graph.p, graph.q, graph.edges
+    remaining = [0] * p  # incident edges not yet placed, per vertex
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(p)]  # (edge, other end)
+    for i, (u, v) in enumerate(edges):
         remaining[u] += 1
         remaining[v] += 1
-    taken = [False] * graph.q
+        nbrs[u].append((i, v))
+        nbrs[v].append((i, u))
+    top = [0] * p  # the largest degree among each vertex's neighbours
+    key = []  # per edge its current key, -1 once placed
+    q2 = 2 * q
+    for i, (u, v) in enumerate(edges):
+        du, dv = remaining[u], remaining[v]
+        if dv > top[u]:
+            top[u] = dv
+        if du > top[v]:
+            top[v] = du
+        key.append((du if du < dv else dv) * q2 + q + i)  # neither end is started
+    first = [d - 1 for d in remaining]  # a vertex's count after its first placement
+    heap = key[:]
+    heapify(heap)
     steps: list[tuple[int, bool, bool]] = []
-    for _ in range(graph.q):
-        best = -1
-        best_key = None
-        for i, (u, v) in enumerate(graph.edges):
-            if taken[i]:
+    for _ in range(q):
+        k = heappop(heap)
+        i = k % q
+        while key[i] != k:  # stale, or the edge is placed
+            k = heappop(heap)
+            i = k % q
+        key[i] = -1
+        u, v = edges[i]
+        ru = remaining[u] = remaining[u] - 1
+        rv = remaining[v] = remaining[v] - 1
+        steps.append((i, ru == 0, rv == 0))
+        for w, rw in ((u, ru), (v, rv)):
+            if rw == 0 or top[w] <= rw < first[w]:  # no key at w can fall
                 continue
-            key = min(remaining[u], remaining[v])
-            if best_key is None or key < best_key:
-                best, best_key = i, key
-        u, v = graph.edges[best]
-        remaining[u] -= 1
-        remaining[v] -= 1
-        taken[best] = True
-        steps.append((best, remaining[u] == 0, remaining[v] == 0))
+            for j, x in nbrs[w]:  # w is started, so these keys have no +q
+                rx = remaining[x]
+                k = (rw if rw < rx else rx) * q2 + j
+                if k < key[j]:
+                    key[j] = k
+                    heappush(heap, k)
     return steps
 
 

@@ -148,13 +148,27 @@ def fan_scan_oracle(n_max: int) -> list[int]:
 
 def completion_order_oracle(graph: Graph) -> list[int]:
     """The greedy edge order from its rule, recounted at every step: the untaken
-    edge with an endpoint that has the fewest untaken edges, lowest index first."""
+    edge with an endpoint that has the fewest untaken edges, then one with a
+    started endpoint (one that a taken edge touches), then the lowest index."""
+    return greedy_order_oracle(graph, started_first=True)
+
+
+def lowest_index_order_oracle(graph: Graph) -> list[int]:
+    """The same greedy order with ties to the lowest index alone."""
+    return greedy_order_oracle(graph, started_first=False)
+
+
+def greedy_order_oracle(graph: Graph, started_first: bool) -> list[int]:
+    """Both greedy orders; without ``started_first`` no vertex counts as
+    started, so every edge ties on the middle key."""
     untaken = list(range(graph.q))
     order = []
     while untaken:
         def left(w: int) -> int:
             return sum(w in graph.edges[j] for j in untaken)
-        best = min(untaken, key=lambda i: (min(map(left, graph.edges[i])), i))
+        started = {w for j in order for w in graph.edges[j]} if started_first else set()
+        best = min(untaken, key=lambda i: (min(map(left, graph.edges[i])),
+                                           started.isdisjoint(graph.edges[i]), i))
         untaken.remove(best)
         order.append(best)
     return order

@@ -26,6 +26,7 @@ from support import (
     completion_flags_oracle,
     completion_order_oracle,
     count_graceful_oracle,
+    lowest_index_order_oracle,
     random_simple_graph,
     shuffled_copy,
     small_corpus,
@@ -128,6 +129,32 @@ class TestCompletionOrder:
     @given(st.randoms(use_true_random=False))
     def test_matches_the_oracles_on_random_graphs(self, rng):
         assert_steps_match_oracles(random_simple_graph(rng, max_p=9, max_q=14))
+
+    def test_generator_graphs_keep_their_order(self):
+        # on the plain generator graphs the started-first tie never overrides
+        # the lowest index, so their orders, witnesses and trees stay
+        graphs = [fan(m, n) for m in range(1, 4) for n in range(1, 13)]
+        graphs += [cycle(n) for n in range(3, 21)] + [path(n) for n in range(2, 21)]
+        for g in graphs:
+            assert completion_order_oracle(g) == lowest_index_order_oracle(g)
+
+    def test_hub_fan_is_ordered_in_one_pass(self):
+        # q = 25 241 with six hubs of degree 3 606: a rescan per step takes
+        # minutes here, and a walk of a hub's edges at every placement seconds
+        g = fan(6, 3606)
+        steps = completion_order(g)
+        order = [i for i, _, _ in steps]
+        assert sorted(order) == list(range(g.q))
+        assert [(u_done, v_done) for _, u_done, v_done in steps] == completion_flags_oracle(g, order)
+
+    def test_shuffled_path_walks_end_to_end(self):
+        # the started-first tie keeps one walk however the edges are listed,
+        # so every shuffle finds the witness with one node per edge
+        rng = random.Random(17)
+        for _ in range(20):
+            out = search(shuffled_copy(path(17), rng), SearchOptions(mode="first"))
+            assert out.solution_count == 1
+            assert out.nodes_expanded == 16
 
 
 class TestSearchFirst:
