@@ -44,7 +44,8 @@ including the node counter and, in mode "first", the same labeling.
 
 The recursion goes one Python frame per edge, so ``search`` rejects graphs
 with more edges than the interpreter's recursion limit less ``STACK_MARGIN``
-instead of overflowing.
+instead of overflowing, and raises the same ValueError when a caller deeper
+than ``STACK_MARGIN`` frames leaves too little of the limit for the search.
 """
 
 from __future__ import annotations
@@ -310,5 +311,12 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
             if stopped:
                 return
 
-    place(0)
+    try:
+        place(0)
+    except RecursionError:
+        # the caller holds more than the STACK_MARGIN frames the check leaves it
+        raise ValueError(
+            f"graph has {q} edges; the search recurses once per edge and, on top of "
+            "the caller's frames, passes the interpreter's recursion limit"
+        ) from None
     return SearchOutcome(tuple(solutions), count, nodes, not stopped)

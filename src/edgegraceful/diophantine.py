@@ -83,7 +83,7 @@ def _fraction(num: int, den: int) -> Fraction:
 
 def _read_as_fraction(i: int, name: str) -> property:
     def read(self) -> Fraction:
-        return _fraction(self._nums[i], self._dens[i])
+        return _fraction(self.numerators[i], self.denominators[i])
 
     return property(read, doc=f"{name} as an exact Fraction, built on each read.")
 
@@ -91,27 +91,15 @@ def _read_as_fraction(i: int, name: str) -> property:
 class FactorPairRow(Record):
     """One enumeration row: a factor pair and everything derived from it.
 
-    ``integral`` is true iff X, Y, x and y are all integers; only such rows
-    yield solutions of the original equation.  A row stores N1, N2,
-    ``integral`` and the integer numerators of X, Y, x and y with their
-    denominators; the four are read-only properties that build an exact
-    ``Fraction`` on every read, so a caller that reads some rows pays for no
-    others.  The constructor takes ``Fraction`` or ``int`` values, and the
-    record contract (equality, hashing, repr, pickling) reads the seven public
-    fields, so a row equals the one built from its ``Fraction`` values.
+    A row stores the pair ``N1``, ``N2``; ``integral``, true iff X, Y, x and
+    y are all integers, so that only such rows yield solutions of the
+    original equation; and the integer ``numerators`` of X, Y, x and y over
+    their ``denominators``.  X, Y, x and y are read-only properties that
+    build an exact ``Fraction`` on every read, so a caller that reads some
+    rows pays for no others.
     """
 
-    __slots__ = ("N1", "N2", "integral", "_nums", "_dens")
-    _fields = ("N1", "N2", "X", "Y", "x", "y", "integral")
-
-    def __init__(self, N1: int, N2: int, X: Fraction | int, Y: Fraction | int,
-                 x: Fraction | int, y: Fraction | int, integral: bool) -> None:
-        object.__setattr__(self, "N1", N1)
-        object.__setattr__(self, "N2", N2)
-        object.__setattr__(self, "integral", integral)
-        object.__setattr__(self, "_nums", (X.numerator, Y.numerator, x.numerator, y.numerator))
-        object.__setattr__(self, "_dens",
-                           (X.denominator, Y.denominator, x.denominator, y.denominator))
+    __slots__ = ("N1", "N2", "integral", "numerators", "denominators")
 
     X = _read_as_fraction(0, "X")
     Y = _read_as_fraction(1, "Y")
@@ -300,12 +288,13 @@ def solve_factor_pairs(form: ReducedForm) -> list[FactorPairRow]:
     the positive ones.
     """
     dens = _denominators(form)
-    # rows are filled through the slot descriptors: __init__ takes Fractions,
-    # and setting fields by name took a 1 536-row table from 2.8 to 4.6-5.4 ms
+    # rows are filled through the slot descriptors: setting the fields by name,
+    # as Record.__init__ does, took a 1 536-row table from 2.8 to 4.6-5.4 ms
     new = FactorPairRow.__new__
     set_n1, set_n2 = FactorPairRow.N1.__set__, FactorPairRow.N2.__set__
     set_integral = FactorPairRow.integral.__set__
-    set_nums, set_dens = FactorPairRow._nums.__set__, FactorPairRow._dens.__set__
+    set_nums = FactorPairRow.numerators.__set__
+    set_dens = FactorPairRow.denominators.__set__
     rows = []
     for n1, n2, X, Y, x, y, integral in _factor_pair_numerators(form):
         row = new(FactorPairRow)

@@ -43,29 +43,20 @@ shown = _ShortRepr().repr
 class Record:
     """Base of the package's immutable records.
 
-    A subclass stores its values in ``__slots__``.  Its fields, as the
-    contract below reads them, are ``_fields``: the ``__slots__`` of the class
-    and of its record bases, in order, unless the class names ``_fields``
-    itself, as ``FactorPairRow`` does for the values it computes on read.
-    The constructor stores the fields, given by position or by keyword, once
-    each; a record with checks or defaults ends its ``__init__`` with
-    ``super().__init__``.  Later assignment or deletion raises AttributeError.
-    Two records are equal, and hash alike, when they share a class and their
-    fields are equal; the repr names every field; ``__reduce__`` calls the
-    class with the fields in order, so ``pickle`` and ``copy`` go through the
-    public constructor.
+    A record class derives from ``Record`` directly, and its fields are its
+    ``__slots__``, in order.  The constructor stores the fields, given by
+    position or by keyword, once each; a record with checks or defaults ends
+    its ``__init__`` with ``super().__init__``.  Later assignment or deletion
+    raises AttributeError.  Two records are equal, and hash alike, when they
+    share a class and their fields are equal; the repr names every field;
+    ``__reduce__`` calls the class with the fields in order, so ``pickle`` and
+    ``copy`` go through the public constructor.
     """
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        if "_fields" not in cls.__dict__:
-            cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
 
     def __init__(self, *args, **kwargs) -> None:
-        names = self._fields
+        names = self.__slots__
         if kwargs or len(args) != len(names):
             rest = names[len(args):]
             if len(args) > len(names) or kwargs.keys() != set(rest):
@@ -77,7 +68,7 @@ class Record:
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -88,7 +79,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
@@ -155,7 +146,7 @@ class Graph(Record):
         return len(self.edges)
 
 
-# the historical name of the constructor, kept for callers that use it
+# the historical name of the constructor; perfbench's workloads are its last reader
 make_graph = Graph
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from edgegraceful import Graph, cycle, fan, make_graph, path
+from edgegraceful import Graph, cycle, fan, path
 
 CORPUS_SEED = 20250810
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -194,7 +194,7 @@ def random_simple_graph(rng: random.Random, max_p: int = 7, max_q: int = 8) -> G
         q = rng.randint(1, min(max_q, len(all_pairs)))
         edges = rng.sample(all_pairs, q)
         rng.shuffle(edges)
-        return make_graph(p, edges)
+        return Graph(p, edges)
 
 
 def shuffled_copy(graph: Graph, rng: random.Random) -> Graph:
@@ -204,7 +204,7 @@ def shuffled_copy(graph: Graph, rng: random.Random) -> Graph:
     edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
              for u, v in graph.edges]
     rng.shuffle(edges)
-    return make_graph(graph.p, edges)
+    return Graph(graph.p, edges)
 
 
 def small_corpus(n_random: int = 50) -> list[Graph]:

@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +28,9 @@ from edgegraceful import (
     lo_check,
     reduce,
     search,
-    solve_factor_pairs,
     verify,
 )
+from edgegraceful.diophantine import factor_pair_trace
 from edgegraceful.labeling import EdgeLabeling
 from fan_trace_reference import (
     EXPECTED_FAN_SOLUTIONS,
@@ -82,14 +83,13 @@ def test_c1_fan_classification_to_one_million():
 
 
 def test_c2_factor_pair_trace_reproduction():
-    rows = solve_factor_pairs(reduce(FAN_EQ))
+    # the rows `dioph --trace` prints; Fraction() parses each rendered value
+    rows = factor_pair_trace(reduce(FAN_EQ))
     assert len(rows) == 56
     for row, (n1, n2, xs, ys, xxs, yys) in zip(rows, EXPECTED_FAN_TRACE):
-        assert (row.N1, row.N2) == (n1, n2)
-        assert matches_printed(row.X, xs), (row.N1, row.N2, "X")
-        assert matches_printed(row.Y, ys), (row.N1, row.N2, "Y")
-        assert matches_printed(row.x, xxs), (row.N1, row.N2, "x")
-        assert matches_printed(row.y, yys), (row.N1, row.N2, "y")
+        assert (row["N1"], row["N2"]) == (n1, n2)
+        for name, printed in zip("XYxy", (xs, ys, xxs, yys)):
+            assert matches_printed(Fraction(row[name]), printed), (n1, n2, name)
     assert set(integer_solutions(FAN_EQ)) == EXPECTED_FAN_SOLUTIONS
     report(2, "all 56 rows and the 8-pair solution set match exactly")
 

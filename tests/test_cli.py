@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from edgegraceful import EdgeLabeling, QuadraticDiophantine, fan, make_graph, reduce, verify
+from edgegraceful import EdgeLabeling, Graph, QuadraticDiophantine, fan, reduce, verify
 from edgegraceful.cli import (
     graph_from_doc,
     graph_to_doc,
@@ -514,7 +514,7 @@ class TestPipeline:
 
     def test_file_input(self, capsys, tmp_path):
         gpath = tmp_path / "graph.json"
-        gpath.write_text(json.dumps(graph_to_doc(make_graph(3, [(0, 1), (1, 2), (2, 0)]))))
+        gpath.write_text(json.dumps(graph_to_doc(Graph(3, [(0, 1), (1, 2), (2, 0)]))))
         code, out, _ = run(capsys, "lo", str(gpath))
         assert code == 0
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgegraceful import EdgeLabeling, cycle, fan, induce, lo_check, make_graph, path, verify
+from edgegraceful import EdgeLabeling, Graph, cycle, fan, induce, lo_check, path, verify
 from support import junk_values, random_simple_graph, residues_oracle
 
 
@@ -27,7 +27,7 @@ class TestEdgeLabelingInvariant:
                              ids=["float", "bool", "str", "none"])
     def test_rejects_non_integer_label(self, labels):
         with pytest.raises(ValueError, match="label must be an integer"):
-            EdgeLabeling(make_graph(2, [(0, 1)]), labels)
+            EdgeLabeling(Graph(2, [(0, 1)]), labels)
 
     def test_rejects_mixed_types_before_sorting(self):
         with pytest.raises(ValueError, match="label must be an integer"):
@@ -46,7 +46,7 @@ class TestEdgeLabelingInvariant:
 
     def test_label_error_message_is_bounded(self):
         with pytest.raises(ValueError) as info:
-            EdgeLabeling(make_graph(2, [(0, 1)]), [[1] * 10**5])
+            EdgeLabeling(Graph(2, [(0, 1)]), [[1] * 10**5])
         assert len(str(info.value)) < 200
 
     @given(junk_values)
@@ -102,8 +102,8 @@ class TestInduce:
         edges = data.draw(st.permutations(pairs)).copy()[:q]
         labels = data.draw(st.permutations(list(range(1, q + 1))))
         perm = data.draw(st.permutations(list(range(q))))
-        g1 = make_graph(p, edges)
-        g2 = make_graph(p, [edges[i] for i in perm])
+        g1 = Graph(p, edges)
+        g2 = Graph(p, [edges[i] for i in perm])
         l1 = EdgeLabeling(g1, labels)
         l2 = EdgeLabeling(g2, [labels[i] for i in perm])
         assert induce(l1).residues == induce(l2).residues
@@ -166,6 +166,6 @@ class TestHandshakeCongruence:
         q = data.draw(st.integers(1, min(7, len(pairs))))
         edges = data.draw(st.permutations(pairs))[:q]
         labels = data.draw(st.permutations(list(range(1, q + 1))))
-        g = make_graph(p, edges)
+        g = Graph(p, edges)
         res = induce(EdgeLabeling(g, labels)).residues
         assert sum(res) % p == q * (q + 1) % p

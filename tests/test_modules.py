@@ -27,13 +27,13 @@ def test_no_private_name_is_imported_from_a_sibling(path):
     assert not private, private
 
 
-# the classes that may write a record's slots: Record's constructor stores
-# every record, and FactorPairRow stores numerators in place of its fields
-SLOT_WRITERS = {("graphs.py", "Record"), ("diophantine.py", "FactorPairRow")}
+# the one class that may write a record's slots: Record's constructor stores
+# every record
+SLOT_WRITERS = {("graphs.py", "Record")}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
-def test_only_record_and_factor_pair_row_use_object_setattr(path):
+def test_only_record_uses_object_setattr(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     writers = [
         f"line {node.lineno}: in {getattr(top, 'name', 'module scope')}"

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from edgegraceful import (
     EdgeLabeling,
+    Graph,
     SearchOptions,
     cycle,
     fan,
     lo_check,
-    make_graph,
     path,
     search,
     verify,
@@ -58,7 +58,7 @@ PINNED_COUNT_TREES = [
 
 # K_5 has q = 2p, so no label is alone in its residue class; 787 200 is the
 # count of the 10! permutation scan, 235 470 the class tree's size
-K5 = make_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+K5 = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
 
 
 def solution_set(outcome) -> set[tuple[int, ...]]:
@@ -327,7 +327,7 @@ class TestSymmetryBreaking:
 class TestDegenerateInputs:
     def test_single_vertex_graph_has_the_empty_labeling(self):
         # also the vertexless graph: verify finds the empty labeling graceful
-        for g in (path(1), make_graph(0, [])):
+        for g in (path(1), Graph(0, [])):
             empty = EdgeLabeling(g, ())
             assert verify(empty).edge_graceful
             for mode, solutions, exhausted in [("first", (empty,), False),
@@ -341,17 +341,17 @@ class TestDegenerateInputs:
 
     def test_edgeless_multi_vertex_graph_refuted(self):
         for p in (2, 3, 7):
-            g = make_graph(p, [])
+            g = Graph(p, [])
             assert not verify(EdgeLabeling(g, ())).edge_graceful
             for mode in ("first", "all", "count"):
                 out = search(g, SearchOptions(mode=mode))
                 assert (out.solutions, out.solution_count, out.exhausted) == ((), 0, True)
         # refuted before anything of size p is built
-        assert search(make_graph(10**18, [])).exhausted
+        assert search(Graph(10**18, [])).exhausted
 
     def test_isolated_vertices_collide(self):
         # one edge plus two isolated vertices: residues 0 repeat, no labeling
-        out = search(make_graph(4, [(0, 1)]), SearchOptions(mode="all"))
+        out = search(Graph(4, [(0, 1)]), SearchOptions(mode="all"))
         assert out.solution_count == 0
         assert out.exhausted
 
@@ -362,6 +362,18 @@ class TestDegenerateInputs:
         assert search(path(n)).solution_count == 1
         with pytest.raises(ValueError, match="recursion limit"):
             search(path(depth + 2))
+
+    def test_deep_caller_gets_value_error(self):
+        # the check above leaves STACK_MARGIN frames to the caller; this one uses more
+        depth = sys.getrecursionlimit() - STACK_MARGIN
+        graph = path(depth + 1 if depth % 2 == 0 else depth)
+
+        def nested(frames: int):
+            return nested(frames - 1) if frames else search(graph)
+
+        with pytest.raises(ValueError, match="recursion limit"):
+            nested(STACK_MARGIN + 50)
+        assert search(graph).solution_count == 1
 
 
 class TestExhaustiveOracle:
