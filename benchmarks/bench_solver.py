@@ -17,7 +17,9 @@ times four layers with ``time.perf_counter``:
   x and y of every row, per equation of ``perfbench/expected.json`` (the
   F_{m,n} equations for m = 1..6 and the 96 random ones), which this script
   only reads.  The read-all metric keeps cost that a version moves from
-  building a row to reading it in view;
+  building a row to reading it in view.  One summary row per cell, the
+  F_{m,n} block and each random |N| decade and kind, gives each side's
+  median over the cell's equations;
 - search: ``search`` in modes "count" and "first" on ``SEARCH_GRAPHS``,
   where mode "first" is exhaustive on the graphs that have no labeling;
 - order: one ``_search.completion_order`` call on each of ``ORDER_GRAPHS``,
@@ -278,6 +280,26 @@ def totals(rows: list[dict], metrics: tuple[str, ...]) -> dict:
     return total
 
 
+def cell_rows(rows: list[dict], metrics: tuple[str, ...]) -> list[dict]:
+    """Per cell of the solver rows (the F_{m,n} block, then each random
+    decade-kind cell), each side's median of each metric over the cell."""
+    cells: dict[str, list[dict]] = {}
+    for row in rows:
+        name = row["equation"]
+        cell = "F_{m,n}" if name.startswith("F_") else name.split("#")[0]
+        cells.setdefault(cell, []).append(row)
+    out = []
+    for cell, members in cells.items():
+        row = {"cell": cell, "equations": len(members)}
+        for side in ("before", "after"):
+            row[side] = {metric: round(statistics.median(r[side][metric] for r in members), 7)
+                         for metric in metrics}
+        row["speedup"] = {metric: round(row["before"][metric] / row["after"][metric], 2)
+                          for metric in metrics}
+        out.append(row)
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before")
@@ -312,8 +334,9 @@ def main() -> int:
     record = {
         "what": "integer_solutions, solve_factor_pairs alone and solve_factor_pairs "
                 "with a read of X, Y, x and y of every row, per equation of "
-                "perfbench/expected.json, search per graph and mode, completion_order "
-                "per graph, and child start-up per command, before and after",
+                "perfbench/expected.json and their medians per cell, search per graph "
+                "and mode, completion_order per graph, and child start-up per command, "
+                "before and after",
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {platform.system()}, "
                    f"{len(os.sched_getaffinity(0))} CPUs available",
@@ -329,6 +352,7 @@ def main() -> int:
         "search_totals_s": totals(search_rows, ("search_s",)),
         "order_totals_s": totals(order_rows, ("order_s",)),
         "counts_identical": not (solver_bad or search_bad or order_bad or startup_bad),
+        "solver_cell_rows": [],
         "startup_rows": [],
         "search_rows": [],
         "order_rows": [],
@@ -337,7 +361,8 @@ def main() -> int:
     }
     # one line per row keeps the file short enough to read
     text = json.dumps(record, indent=1)
-    for key, rows in (("startup_rows", startup_rows), ("search_rows", search_rows),
+    for key, rows in (("solver_cell_rows", cell_rows(solver_rows, solver_metrics)),
+                      ("startup_rows", startup_rows), ("search_rows", search_rows),
                       ("order_rows", order_rows), ("task_nodes_rows", task_nodes_rows),
                       ("solver_rows", solver_rows)):
         text = text.replace(f'"{key}": []', f'"{key}": [\n  '

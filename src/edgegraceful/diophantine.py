@@ -21,11 +21,12 @@ denominators:
 
 A row is integral exactly when the four remainders are zero.  Non-integral
 rows are retained (flagged, not dropped) so that ``factor_pair_trace`` can
-render the full enumeration.  ``integer_solutions`` reads only the remainders
-and integer quotients.  No function here builds a ``Fraction``: the rows of
-``solve_factor_pairs`` keep the integer numerators and make X, Y, x and y
-exact ``Fraction`` values when they are read, and ``fractions`` is imported
-at the first such read.
+render the full enumeration.  ``integer_solutions`` builds no row: x depends
+on N2 alone, so it keeps the signed divisors N2 of N that make x integral and
+tests X, Y and y for those only.  No function here builds a ``Fraction``:
+the rows of ``solve_factor_pairs`` keep the integer numerators and make X,
+Y, x and y exact ``Fraction`` values when they are read, and ``fractions``
+is imported at the first such read.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ def positive_divisors(n: int) -> list[int]:
         raise ValueError("zero has no finite divisor list")
     divisors = [1]
     for prime, exponent in _factorize(abs(n)).items():
-        divisors = [d * prime**e for d in divisors for e in range(exponent + 1)]
+        powers = [prime**e for e in range(exponent + 1)]
+        divisors = [d * power for d in divisors for power in powers]
     return sorted(divisors)
 
 
@@ -243,14 +245,8 @@ def _ordered_factor_pairs(N: int) -> list[tuple[int, int]]:
     return half + [(-n1, -n2) for (n1, n2) in half]
 
 
-def _factor_pair_numerators(form: ReducedForm):
-    """Each row of the factor-pair table as integer numerators.
-
-    Yields ``(N1, N2, X, Y, x, y, integral)`` in table order, where X, Y, x
-    and y are the numerators over ``_denominators(form)`` and ``integral``
-    is true iff all four divide exactly.  Raises ValueError (at the first
-    row) for a form the method does not support.
-    """
+def _require_factorable(form: ReducedForm) -> None:
+    """Raise ValueError for a form the factor-pair method does not support."""
     eq = form.equation
     if eq.c != 0:
         raise ValueError("factor-pair method requires c = 0")
@@ -262,8 +258,18 @@ def _factor_pair_numerators(form: ReducedForm):
     if form.N == 0:
         raise ValueError("factor-pair method requires N != 0")
 
+
+def _factor_pair_numerators(form: ReducedForm):
+    """Each row of the factor-pair table as integer numerators.
+
+    Yields ``(N1, N2, X, Y, x, y, integral)`` in table order, where X, Y, x
+    and y are the numerators over ``_denominators(form)`` and ``integral``
+    is true iff all four divide exactly.  Raises ValueError (at the first
+    row) for a form the method does not support.
+    """
+    _require_factorable(form)
     dX, dY, dx, dy = _denominators(form)
-    x_offset, y_offset = form.E - eq.b * eq.d, 2 * form.E
+    x_offset, y_offset = form.E - form.equation.b * form.equation.d, 2 * form.E
     for n1, n2 in _ordered_factor_pairs(form.N):
         X, Y, x = n1 + n2, n1 - n2, x_offset - n2
         y = X - y_offset
@@ -310,16 +316,26 @@ def solve_factor_pairs(form: ReducedForm) -> list[FactorPairRow]:
 def integer_solutions(eq: QuadraticDiophantine) -> list[tuple[int, int]]:
     """All integer (x, y) solving the equation, sorted by x then y.
 
-    Harvested from the integral factor-pair rows; duplicates arising from
-    different pairs collapse to one entry.
+    The integral rows of the factor-pair table, found without the table:
+    every signed divisor of N is N2 in exactly one row, and x's numerator
+    E - bd - N2 depends on N2 alone, so only the divisors that make x
+    integral get N1, X, Y and y.  Each gives a distinct x.
     """
     form = reduce(eq)
-    _, _, dx, dy = _denominators(form)
-    found = {
-        (x // dx, y // dy)
-        for _, _, _, _, x, y, integral in _factor_pair_numerators(form)
-        if integral
-    }
+    _require_factorable(form)
+    dX, dY, dx, dy = _denominators(form)
+    x_offset, y_offset = form.E - eq.b * eq.d, 2 * form.E
+    divisors = positive_divisors(form.N)
+    # x_offset - n2 divides by dx exactly when n2 and x_offset agree mod dx
+    plus, minus = x_offset % dx, -x_offset % dx
+    kept = [t for t in divisors if t % dx == plus]
+    kept += [-t for t in divisors if t % dx == minus]
+    found = []
+    for n2 in kept:
+        n1 = form.N // n2
+        X, Y = n1 + n2, n1 - n2
+        if not (X % dX or Y % dY or (X - y_offset) % dy):
+            found.append(((x_offset - n2) // dx, (X - y_offset) // dy))
     return sorted(found)
 
 

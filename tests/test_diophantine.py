@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -43,6 +45,27 @@ def fan_mn_equation(m: int) -> QuadraticDiophantine:
 
 def row_tuples(rows) -> list[tuple]:
     return [(r.N1, r.N2, r.X, r.Y, r.x, r.y, r.integral) for r in rows]
+
+
+def smooth_c0_equations(per_cell: int = 3) -> list[QuadraticDiophantine]:
+    """Seeded c = 0 equations with 10^9 <= |N| <= 10^12 and at least 200
+    divisors, per_cell for each sign of a, of b and of N.  Each has a planted
+    solution (x0, y0), so its solution set is not empty."""
+    rng = random.Random(19)
+    out = []
+    for sa, sb, sn in itertools.product((1, -1), repeat=3):
+        kept = 0
+        while kept < per_cell:
+            a, b = sa * rng.randint(1, 12), sb * rng.randint(1, 12)
+            d, e = rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)
+            x0, y0 = rng.randint(-10**3, 10**3), rng.randint(-10**3, 10**3)
+            f = -(a * x0 * x0 + b * x0 * y0 + d * x0 + e * y0)
+            eq = QuadraticDiophantine(a, b, 0, d, e, f)
+            N = reduce(eq).N
+            if 10**9 <= sn * N <= 10**12 and sympy.divisor_count(N) >= 200:
+                out.append(eq)
+                kept += 1
+    return out
 
 
 coef = st.integers(-8, 8)
@@ -289,9 +312,36 @@ class TestIntegerSolutions:
     def test_fan_matches_brute_force_at_desk_scale(self):
         assert set(integer_solutions(FAN_EQ)) == brute_solutions_c0(FAN_EQ, 2000)
 
-    def test_propagates_restriction_errors(self):
-        with pytest.raises(ValueError):
-            integer_solutions(QuadraticDiophantine(1, 0, 0, 0, 1, 0))
+    def test_propagates_restriction_errors(self, monkeypatch):
+        # c != 0, b = 0, N = 0: the table's message, raised before N is factored
+        equations = [QuadraticDiophantine(1, 3, 1, 0, 0, 5),
+                     QuadraticDiophantine(1, 0, 0, 0, 1, 0),
+                     QuadraticDiophantine(1, 1, 0, 0, 0, 0)]
+        messages = []
+        for eq in equations:
+            with pytest.raises(ValueError) as table_error:
+                solve_factor_pairs(reduce(eq))
+            messages.append(str(table_error.value))
+
+        def no_factoring(n):
+            raise AssertionError(f"positive_divisors({n}) called before the form checks")
+
+        monkeypatch.setattr(diophantine, "positive_divisors", no_factoring)
+        for eq, message, part in zip(equations, messages, ("c = 0", "b != 0", "N != 0")):
+            assert part in message
+            with pytest.raises(ValueError) as solve_error:
+                integer_solutions(eq)
+            assert str(solve_error.value) == message
+
+    def test_matches_the_row_oracle_on_smooth_n(self):
+        smooth = smooth_c0_equations()
+        assert {(eq.a > 0, eq.b > 0) for eq in smooth} == {(True, True), (True, False),
+                                                          (False, True), (False, False)}
+        for eq in [fan_mn_equation(m) for m in range(1, 7)] + smooth:
+            want = sorted({(int(x), int(y))
+                           for *_, x, y, integral in factor_pair_rows_oracle(eq) if integral})
+            assert want, eq
+            assert integer_solutions(eq) == want, eq
 
     @given(nonzero, nonzero, coef, coef, coef)
     def test_random_c0_equations_sound(self, a, b, d, e, f):
