@@ -21,7 +21,10 @@ denominators:
 
 A row is integral exactly when the four remainders are zero.  Non-integral
 rows are retained (flagged, not dropped) so that ``factor_pair_trace`` can
-render the full enumeration.  ``integer_solutions`` builds no row: x depends
+render the full enumeration.  One generator derives the table: it runs the
+form checks, takes the denominators, orders the pairs and yields each row's
+fields in ``FactorPairRow`` order, which ``solve_factor_pairs`` stores and
+``factor_pair_trace`` renders.  ``integer_solutions`` builds no row: x depends
 on N2 alone, so it keeps the signed divisors N2 of N that make x integral and
 tests X, Y and y for those only.  No function here builds a ``Fraction``:
 the rows of ``solve_factor_pairs`` keep the integer numerators and make X,
@@ -233,20 +236,9 @@ def _pollard_brent(n: int) -> int:
     )
 
 
-def _ordered_factor_pairs(N: int) -> list[tuple[int, int]]:
-    # Table layout: |N1| < |N2| block ascending, then its mirror, for positive
-    # N1 first and the sign-flipped rows after; a perfect-square middle pair
-    # sits once between a block and its mirror.  The divisors ascend, so the
-    # square root, when there is one, is the last t with t*t <= |N|.
-    n = abs(N)
-    low = [t for t in positive_divisors(N) if t * t <= n]
-    half = [(t, N // t) for t in low]
-    half += [(N // t, t) for t in low if t * t < n]
-    return half + [(-n1, -n2) for (n1, n2) in half]
-
-
-def _require_factorable(form: ReducedForm) -> None:
-    """Raise ValueError for a form the factor-pair method does not support."""
+def _require_factorable(form: ReducedForm) -> tuple[tuple[int, int, int, int], int, int]:
+    """Raise ValueError for a form the factor-pair method does not support, else
+    return the denominators of X, Y, x, y and the x and y offsets E - bd, 2E."""
     eq = form.equation
     if eq.c != 0:
         raise ValueError("factor-pair method requires c = 0")
@@ -257,30 +249,30 @@ def _require_factorable(form: ReducedForm) -> None:
         raise ValueError("reduced form does not match reduce(form.equation)")
     if form.N == 0:
         raise ValueError("factor-pair method requires N != 0")
+    return (2, 2 * eq.b, 2 * eq.a * eq.b, 2 * form.D), form.E - eq.b * eq.d, 2 * form.E
 
 
 def _factor_pair_numerators(form: ReducedForm):
-    """Each row of the factor-pair table as integer numerators.
+    """Each row of the factor-pair table as integer numerators, in table order.
 
-    Yields ``(N1, N2, X, Y, x, y, integral)`` in table order, where X, Y, x
-    and y are the numerators over ``_denominators(form)`` and ``integral``
-    is true iff all four divide exactly.  Raises ValueError (at the first
-    row) for a form the method does not support.
+    Yields ``(N1, N2, integral, numerators, denominators)``, a row's fields in
+    ``FactorPairRow.__slots__`` order: the numerators of X, Y, x and y, and
+    ``integral`` true iff all four divide exactly.  The |N1| < |N2| pairs
+    ascend, a perfect-square middle pair follows once, then their mirrors;
+    the sign-flipped pairs come after.  Raises ValueError at the first row
+    for a form the method does not support.
     """
-    _require_factorable(form)
-    dX, dY, dx, dy = _denominators(form)
-    x_offset, y_offset = form.E - form.equation.b * form.equation.d, 2 * form.E
-    for n1, n2 in _ordered_factor_pairs(form.N):
+    dens, x_offset, y_offset = _require_factorable(form)
+    dX, dY, dx, dy = dens
+    N, n = form.N, abs(form.N)
+    # the divisors ascend, so a square root of |N| is the last t with t*t <= |N|
+    low = [t for t in positive_divisors(N) if t * t <= n]
+    half = [(t, N // t) for t in low]
+    half += [(N // t, t) for t in low if t * t < n]
+    for n1, n2 in half + [(-n1, -n2) for n1, n2 in half]:
         X, Y, x = n1 + n2, n1 - n2, x_offset - n2
         y = X - y_offset
-        integral = not (X % dX or Y % dY or x % dx or y % dy)
-        yield n1, n2, X, Y, x, y, integral
-
-
-def _denominators(form: ReducedForm) -> tuple[int, int, int, int]:
-    """Denominators of X, Y, x, y in ``_factor_pair_numerators``."""
-    a, b = form.equation.a, form.equation.b
-    return 2, 2 * b, 2 * a * b, 2 * form.D
+        yield n1, n2, not (X % dX or Y % dY or x % dx or y % dy), (X, Y, x, y), dens
 
 
 def solve_factor_pairs(form: ReducedForm) -> list[FactorPairRow]:
@@ -293,7 +285,6 @@ def solve_factor_pairs(form: ReducedForm) -> list[FactorPairRow]:
     Both orders of each unordered pair appear, and sign-flipped pairs follow
     the positive ones.
     """
-    dens = _denominators(form)
     # rows are filled through the slot descriptors: setting the fields by name,
     # as Record.__init__ does, took a 1 536-row table from 2.8 to 4.6-5.4 ms
     new = FactorPairRow.__new__
@@ -302,12 +293,12 @@ def solve_factor_pairs(form: ReducedForm) -> list[FactorPairRow]:
     set_nums = FactorPairRow.numerators.__set__
     set_dens = FactorPairRow.denominators.__set__
     rows = []
-    for n1, n2, X, Y, x, y, integral in _factor_pair_numerators(form):
+    for n1, n2, integral, nums, dens in _factor_pair_numerators(form):
         row = new(FactorPairRow)
         set_n1(row, n1)
         set_n2(row, n2)
         set_integral(row, integral)
-        set_nums(row, (X, Y, x, y))
+        set_nums(row, nums)
         set_dens(row, dens)
         rows.append(row)
     return rows
@@ -322,9 +313,7 @@ def integer_solutions(eq: QuadraticDiophantine) -> list[tuple[int, int]]:
     integral get N1, X, Y and y.  Each gives a distinct x.
     """
     form = reduce(eq)
-    _require_factorable(form)
-    dX, dY, dx, dy = _denominators(form)
-    x_offset, y_offset = form.E - eq.b * eq.d, 2 * form.E
+    (dX, dY, dx, dy), x_offset, y_offset = _require_factorable(form)
     divisors = positive_divisors(form.N)
     # x_offset - n2 divides by dx exactly when n2 and x_offset agree mod dx
     plus, minus = x_offset % dx, -x_offset % dx
@@ -374,10 +363,9 @@ def factor_pair_trace(form: ReducedForm) -> list[dict]:
     integer numerators and denominators; ``integral`` marks the rows that
     solve the equation.  Raises ValueError for a form the solver rejects.
     """
-    dens = _denominators(form)
     return [
         {"N1": n1, "N2": n2,
          **{k: format_rational(num, den) for k, num, den in zip("XYxy", nums, dens)},
          "integral": integral}
-        for n1, n2, *nums, integral in _factor_pair_numerators(form)
+        for n1, n2, integral, nums, dens in _factor_pair_numerators(form)
     ]

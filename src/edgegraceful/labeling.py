@@ -59,14 +59,10 @@ class Verdict(Record):
     """Outcome of the edge-graceful test.
 
     On failure ``witness`` names one pair of vertices sharing a residue
-    (the first collision in vertex order).
+    (the first collision in vertex order); on success it is None.
     """
 
     __slots__ = ("edge_graceful", "induced", "witness")
-
-    def __init__(self, edge_graceful: bool, induced: InducedLabels,
-                 witness: tuple[int, int] | None = None) -> None:
-        super().__init__(edge_graceful, induced, witness)
 
 
 def induce(labeling: EdgeLabeling) -> InducedLabels:
@@ -85,6 +81,6 @@ def verify(labeling: EdgeLabeling) -> Verdict:
     first_at: dict[int, int] = {}
     for v, r in enumerate(induced.residues):
         if r in first_at:
-            return Verdict(False, induced, witness=(first_at[r], v))
+            return Verdict(False, induced, (first_at[r], v))
         first_at[r] = v
-    return Verdict(True, induced)
+    return Verdict(True, induced, None)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -23,6 +24,7 @@ from edgegraceful import (
     solve_factor_pairs,
 )
 from edgegraceful import diophantine
+from edgegraceful.diophantine import factor_pair_trace
 from support import (
     divisors_oracle,
     factor_pair_rows_oracle,
@@ -47,6 +49,7 @@ def row_tuples(rows) -> list[tuple]:
     return [(r.N1, r.N2, r.X, r.Y, r.x, r.y, r.integral) for r in rows]
 
 
+@functools.cache
 def smooth_c0_equations(per_cell: int = 3) -> list[QuadraticDiophantine]:
     """Seeded c = 0 equations with 10^9 <= |N| <= 10^12 and at least 200
     divisors, per_cell for each sign of a, of b and of N.  Each has a planted
@@ -227,6 +230,21 @@ class TestFactorPairOracle:
         eq = QuadraticDiophantine(a, b, 0, d, e, f)
         assume(reduce(eq).N != 0)
         assert row_tuples(solve_factor_pairs(reduce(eq))) == factor_pair_rows_oracle(eq)
+
+    def test_smooth_n_equations(self):
+        # hundreds of divisors per N, which the hypothesis ranges above rarely
+        # reach, and a perfect-square |N| whose middle pair sits once per sign
+        square = QuadraticDiophantine(-3, 2, 0, 5, 7, 169_087_723)
+        assert reduce(square).N == -(2 * 3**2 * 5 * 7 * 11 * 13) ** 2
+        for eq in smooth_c0_equations() + [square]:
+            form, want = reduce(eq), factor_pair_rows_oracle(eq)
+            assert row_tuples(solve_factor_pairs(form)) == want, eq
+            assert factor_pair_trace(form) == [
+                {"N1": n1, "N2": n2,
+                 **{k: format_rational_oracle(v) for k, v in zip("XYxy", values)},
+                 "integral": integral}
+                for n1, n2, *values, integral in want
+            ], eq
 
 
 class TestLazyRows:
@@ -471,6 +489,13 @@ class TestPositiveDivisors:
         monkeypatch.setattr(diophantine, "RHO_STEP_LIMIT", 64)
         with pytest.raises(ValueError, match="Pollard-Brent"):
             positive_divisors(999_983 * 1_000_003)
+
+    def test_batch_overshoot_is_replayed_step_by_step(self, monkeypatch):
+        # both factors pass TRIAL_LIMIT, and a batch of differences multiplies
+        # to 0 mod n: the gcd is n itself, and only the one-step replay of that
+        # batch splits n within 63 iterations, the least budget that does
+        monkeypatch.setattr(diophantine, "RHO_STEP_LIMIT", 63)
+        assert positive_divisors(1009 * 1049) == [1, 1009, 1049, 1058441]
 
     def test_rho_budget_shrinks_with_the_cofactor_in_words(self, monkeypatch):
         # below 2^64 the whole budget; a 3-word cofactor gets a third of it

@@ -46,6 +46,26 @@ def test_only_record_uses_object_setattr(path):
     assert not writers, writers
 
 
+# the one function that may write slots through their descriptors
+# (<Class>.<slot>.__set__): solve_factor_pairs fills FactorPairRow's five
+# slots that way because building the rows through Record.__init__ took a
+# 1 536-row table from 2.8 to 4.6-5.4 ms
+DESCRIPTOR_WRITERS = {("diophantine.py", "solve_factor_pairs")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_the_row_fill_reads_slot_setters(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    writers = [
+        f"line {node.lineno}: in {getattr(top, 'name', 'module scope')}"
+        for top in tree.body
+        if (path.name, getattr(top, "name", None)) not in DESCRIPTOR_WRITERS
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "__set__"
+    ]
+    assert not writers, writers
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_module_is_named_like_a_public_name(path):
     # importing edgegraceful.<stem> binds the module as the package attribute

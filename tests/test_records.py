@@ -91,7 +91,7 @@ class TestRecordContract:
 
 
 # fields a constructor may leave out, with the value it then stores
-DEFAULTS = {"Verdict": {"witness": None}, "SearchOptions": {"mode": "first", "limit": None}}
+DEFAULTS = {"SearchOptions": {"mode": "first", "limit": None}}
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=IDS)
