@@ -29,6 +29,10 @@ times four layers with ``time.perf_counter``:
   and of ``edgegraceful.cli``, a call of ``classify_fans`` alone and two CLI
   calls), the sides alternating which goes first on each command.
 
+Every solver, search and order row, and each layer's total (one child's
+rows summed), gives each side's median and quartiles over its ``ROUNDS``
+children, so a reader can tell a host's swing from a change.
+
 Row, solution and node counts, the first-mode witnesses, the edge orders'
 steps and every start-up command's stdout are deterministic and must agree
 on both sides; the script exits 1 when they do not.
@@ -251,11 +255,19 @@ def run_side(src: str) -> dict:
     return json.loads(proc.stdout)
 
 
+def spread(side: dict, metric: str, values: list[float], digits: int) -> None:
+    """Put the median of ``values`` under ``metric`` and their lower and
+    upper quartiles under ``metric + "_quartiles"``."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    side[metric] = round(median, digits)
+    side[metric + "_quartiles"] = [round(q1, digits), round(q3, digits)]
+
+
 def compare(runs: dict, layer: str, keys: tuple[str, ...], counts: tuple[str, ...],
             metrics: tuple[str, ...]) -> tuple[list[dict], list[str]]:
     """One row per item of the layer: each side's counts from its first child
-    and per metric the median over its children; and the items whose counts
-    differ between the sides."""
+    and per metric the median and quartiles over its children; and the items
+    whose counts differ between the sides."""
     rows, mismatches = [], []
     for i, item in enumerate(runs["before"][0][layer]):
         row = {key: item[key] for key in keys}
@@ -263,18 +275,21 @@ def compare(runs: dict, layer: str, keys: tuple[str, ...], counts: tuple[str, ..
             first = runs[side][0][layer][i]
             row[side] = {key: first[key] for key in counts}
             for metric in metrics:
-                row[side][metric] = round(
-                    statistics.median(run[layer][i][metric] for run in runs[side]), 7)
+                spread(row[side], metric, [run[layer][i][metric] for run in runs[side]], 7)
         if any(row["before"][k] != row["after"][k] for k in counts):
             mismatches.append(" ".join(str(row[key]) for key in keys))
         rows.append(row)
     return rows, mismatches
 
 
-def totals(rows: list[dict], metrics: tuple[str, ...]) -> dict:
-    total = {side: {metric: round(sum(row[side][metric] for row in rows), 6)
-                    for metric in metrics}
-             for side in ("before", "after")}
+def totals(runs: dict, layer: str, metrics: tuple[str, ...]) -> dict:
+    """Per side and metric, the median and quartiles over the children of
+    each child's total over the layer's items."""
+    total: dict = {side: {} for side in ("before", "after")}
+    for side in total:
+        for metric in metrics:
+            spread(total[side], metric,
+                   [sum(item[metric] for item in run[layer]) for run in runs[side]], 6)
     total["speedup"] = {metric: round(total["before"][metric] / total["after"][metric], 2)
                         for metric in metrics}
     return total
@@ -345,12 +360,13 @@ def main() -> int:
         "method": f"each side in its own child process, {ROUNDS} children per side "
                   f"alternating which goes first; per child, the median of {REPEATS} "
                   "calls per equation and of 1 per graph and mode or per order; "
-                  "per row, the median over the children; seconds; start-up: "
+                  "per row and per total, the median and quartiles over the children "
+                  "(a total sums one child's rows); seconds; start-up: "
                   f"{STARTUP_ROUNDS} children per side and command, alternating which "
                   "side goes first, median and quartiles in ms",
-        "solver_totals_s": totals(solver_rows, solver_metrics),
-        "search_totals_s": totals(search_rows, ("search_s",)),
-        "order_totals_s": totals(order_rows, ("order_s",)),
+        "solver_totals_s": totals(runs, "solver", solver_metrics),
+        "search_totals_s": totals(runs, "search", ("search_s",)),
+        "order_totals_s": totals(runs, "order", ("order_s",)),
         "counts_identical": not (solver_bad or search_bad or order_bad or startup_bad),
         "solver_cell_rows": [],
         "startup_rows": [],

@@ -42,7 +42,8 @@ Everything is deterministic: labels are tried in increasing order and the
 edge order is fixed up front, so repeated runs give identical outcomes,
 including the node counter and, in mode "first", the same labeling.
 
-The recursion goes one Python frame per edge, so ``search`` rejects graphs
+The recursion goes one Python frame per edge but the last, whose label is
+the one left over: it is checked, not searched.  ``search`` rejects graphs
 with more edges than the interpreter's recursion limit less ``STACK_MARGIN``
 instead of overflowing, and raises the same ValueError when a caller deeper
 than ``STACK_MARGIN`` frames leaves too little of the limit for the search.
@@ -166,7 +167,8 @@ def completion_order(graph: Graph) -> list[tuple[int, bool, bool]]:
 def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     """Depth-first search for edge-graceful labelings of ``graph``.
 
-    Every graph the constructor accepts gets an answer, edgeless ones too.
+    Every graph the constructor accepts gets an answer, edgeless ones too,
+    unless it has more edges than the depth guard (module docstring) allows.
     Two isolated vertices both induce residue 0, so a graph with more than
     one is refuted at once (an edgeless graph on p >= 2 vertices among them).
     An edgeless graph on at most one vertex has exactly one labeling, the
@@ -193,6 +195,8 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
         # p <= 1: the empty labeling is the one leaf, counted as record() would
         found = (EdgeLabeling(graph, ()),) if collect else ()
         return SearchOutcome(found, 1, 0, target is None or target > 1)
+    if q == 1:
+        return SearchOutcome((), 0, 1, True)  # both ends of the edge induce 1 mod p
 
     steps = completion_order(graph)
     order = [i for i, _, _ in steps]
@@ -223,6 +227,8 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     # per position: the edge, whether it completes u and v, the labels it tries
     plan = [(*graph.edges[i], u_done, v_done, all_labels if pos in reps else without_sym)
             for pos, (i, u_done, v_done) in enumerate(steps)]
+    a, b = graph.edges[order[-1]]  # the last edge, checked at position q - 2
+    penult = q - 2
 
     used = [False] * (q + 1)
     sums = [0] * p
@@ -268,11 +274,10 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
             count = target
             stopped = True
 
-    def place(pos: int) -> None:
+    def place(pos: int, free: int) -> None:
         nonlocal nodes
         u, v, cu, cv, labels = plan[pos]
-        su, sv = sums[u], sums[v]  # children restore them before returning
-        last = pos + 1 == q
+        su, sv = sums[u], sums[v]
         if pos == forced_pos and not used[sym_label]:
             labels = (sym_label,)  # the last representative: nowhere else is left
         for lab in labels:
@@ -290,29 +295,39 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
                 if residue_taken[rv] or (cu and rv == ru):
                     continue
             level_label[pos] = lab
-            if last:
-                record()  # reads level_label only, so the leaf is not placed
+            used[lab] = True
+            sums[u] = su + lab
+            sums[v] = sv + lab
+            if cu:
+                residue_taken[ru] = True
+            if cv:
+                residue_taken[rv] = True
+            if pos == penult:
+                # the last edge takes the one label left, x, and completes both
+                # ends.  No class test: x - p is used.  No symmetry test: if the
+                # last position is a representative, x is sym_label just when it
+                # is unused, as forcing asks; if not, forced_pos placed sym_label
+                nodes += 1
+                x = free - lab
+                ra = (sums[a] + x) % p
+                rb = (sums[b] + x) % p
+                if ra != rb and not residue_taken[ra] and not residue_taken[rb]:
+                    level_label[q - 1] = x
+                    record()
             else:
-                used[lab] = True
-                sums[u] += lab
-                sums[v] += lab
-                if cu:
-                    residue_taken[ru] = True
-                if cv:
-                    residue_taken[rv] = True
-                place(pos + 1)
-                if cu:
-                    residue_taken[ru] = False
-                if cv:
-                    residue_taken[rv] = False
-                sums[u] -= lab
-                sums[v] -= lab
-                used[lab] = False
+                place(pos + 1, free - lab)
+            if cu:
+                residue_taken[ru] = False
+            if cv:
+                residue_taken[rv] = False
+            sums[u] = su
+            sums[v] = sv
+            used[lab] = False
             if stopped:
                 return
 
     try:
-        place(0)
+        place(0, q * (q + 1) // 2)
     except RecursionError:
         # the caller holds more than the STACK_MARGIN frames the check leaves it
         raise ValueError(

@@ -349,6 +349,15 @@ class TestDegenerateInputs:
         # refuted before anything of size p is built
         assert search(Graph(10**18, [])).exhausted
 
+    def test_one_edge_graphs_refuted_in_one_node(self):
+        # both ends of the one edge induce 1 mod p; the lone vertex of the
+        # second graph induces 0, which the edge's ends do not take
+        for g in (path(2), Graph(3, [(0, 1)])):
+            for mode in ("first", "all", "count"):
+                out = search(g, SearchOptions(mode=mode))
+                assert (out.solutions, out.solution_count, out.nodes_expanded,
+                        out.exhausted) == ((), 0, 1, True)
+
     def test_isolated_vertices_collide(self):
         # one edge plus two isolated vertices: residues 0 repeat, no labeling
         out = search(Graph(4, [(0, 1)]), SearchOptions(mode="all"))
