@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from .graphs import Edge, Graph
 
-# neighbour visits, automorphism merges and list entries of partition copies
-# that edge_orbits may spend before it stops looking for automorphisms; a copy
-# is four lists of p entries, so this also caps the memory the first path and
-# the stack hold; the twin pass is linear in the graph and is not charged
+# neighbour visits and list entries of partition copies that edge_orbits may
+# spend before it stops looking for automorphisms: each child copy is charged
+# its refinement's visits and its 4 * p entries.  A copy is four lists of p
+# entries, so this also caps the memory the first path and the stack hold.
+# Not charged: the twin pass and the root refinement, each run once and
+# near-linear in the graph, and the automorphism tests, each linear and made
+# only on a charged copy
 ORBIT_WORK_LIMIT = 1_000_000
 
 

@@ -43,10 +43,11 @@ edge order is fixed up front, so repeated runs give identical outcomes,
 including the node counter and, in mode "first", the same labeling.
 
 The recursion goes one Python frame per edge but the last, whose label is
-the one left over: it is checked, not searched.  ``search`` rejects graphs
-with more edges than the interpreter's recursion limit less ``STACK_MARGIN``
-instead of overflowing, and raises the same ValueError when a caller deeper
-than ``STACK_MARGIN`` frames leaves too little of the limit for the search.
+the one left over: it is checked, not searched.  A graph that ``search``
+does not answer by rule first is refused with one ValueError, instead of
+overflowing, when it has more edges than the interpreter's recursion limit
+less ``STACK_MARGIN`` or when a caller deeper than ``STACK_MARGIN`` frames
+leaves too little of the limit.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from heapq import heapify, heappop, heappush
 from math import factorial
 
 from .graphs import Graph, Record, require_int, shown
-from .labeling import EdgeLabeling
+from .labeling import EdgeLabeling, verify
 
 MODES = ("first", "all", "count")
 
@@ -164,39 +165,40 @@ def completion_order(graph: Graph) -> list[tuple[int, bool, bool]]:
     return steps
 
 
+def _too_deep(q: int) -> ValueError:
+    """The one refusal of a graph too deep for the one-frame-per-edge recursion."""
+    return ValueError(f"graph has {q} edges; the search recurses once per edge and "
+                      f"would pass the interpreter's recursion limit of {sys.getrecursionlimit()}")
+
+
 def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     """Depth-first search for edge-graceful labelings of ``graph``.
 
-    Every graph the constructor accepts gets an answer, edgeless ones too,
-    unless it has more edges than the depth guard (module docstring) allows.
+    Every graph the constructor accepts gets an answer, unless it reaches the
+    recursion with more edges than the depth guard (module docstring) allows.
     Two isolated vertices both induce residue 0, so a graph with more than
-    one is refuted at once (an edgeless graph on p >= 2 vertices among them).
-    An edgeless graph on at most one vertex has exactly one labeling, the
-    empty one, and it is vacuously edge-graceful, as ``verify`` agrees.
+    one is refuted at once, whatever its size.  A graph with at most one edge
+    has one labeling, 1..q, and ``verify`` decides it (only the empty one, on
+    at most one vertex, passes).
     """
     opts = options or SearchOptions()
     p, q = graph.p, graph.q
     target = 1 if opts.mode == "first" else opts.limit
     collect = opts.mode != "count"
 
-    max_depth = sys.getrecursionlimit() - STACK_MARGIN
-    if q > max_depth:
-        raise ValueError(
-            f"graph has {q} edges; the search recurses once per edge and is "
-            f"limited to {max_depth} by the interpreter's recursion limit"
-        )
-
     # isolated vertices all induce residue 0; two of them collide for good.
     # Checked before anything of size p is built, so p may be any size.
     isolated = p - len({w for edge in graph.edges for w in edge})
     if isolated > 1:
         return SearchOutcome((), 0, 0, True)
-    if q == 0:
-        # p <= 1: the empty labeling is the one leaf, counted as record() would
-        found = (EdgeLabeling(graph, ()),) if collect else ()
-        return SearchOutcome(found, 1, 0, target is None or target > 1)
-    if q == 1:
-        return SearchOutcome((), 0, 1, True)  # both ends of the edge induce 1 mod p
+    if q <= 1:
+        # the one labeling, on p <= 3 vertices now; each of its q labels is a node
+        labeling = EdgeLabeling(graph, range(1, q + 1))
+        found = verify(labeling).edge_graceful
+        return SearchOutcome((labeling,) if found and collect else (), int(found), q,
+                             not found or target != 1)
+    if q > sys.getrecursionlimit() - STACK_MARGIN:
+        raise _too_deep(q)
 
     steps = completion_order(graph)
     order = [i for i, _, _ in steps]
@@ -330,8 +332,5 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
         place(0, q * (q + 1) // 2)
     except RecursionError:
         # the caller holds more than the STACK_MARGIN frames the check leaves it
-        raise ValueError(
-            f"graph has {q} edges; the search recurses once per edge and, on top of "
-            "the caller's frames, passes the interpreter's recursion limit"
-        ) from None
+        raise _too_deep(q) from None
     return SearchOutcome(tuple(solutions), count, nodes, not stopped)

@@ -530,6 +530,16 @@ class TestPipeline:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    def test_search_refutes_a_deep_graph_with_isolated_vertices_exits_1(
+            self, capsys, monkeypatch):
+        # two isolated vertices refute the graph before the depth guard is asked
+        q = sys.getrecursionlimit()
+        doc = json.dumps({"p": q + 3, "edges": [[i, i + 1] for i in range(q)]})
+        code, out, err = run_with_stdin(capsys, monkeypatch, doc, "search", "-")
+        assert code == 1
+        assert out == ""
+        assert "error" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("n, head", [(200_000, 10), (3, 0)],
                              ids=["in-print", "in-final-flush"])
     def test_closed_output_pipe_exits_2_quietly(self, n, head):

@@ -20,7 +20,7 @@ from edgegraceful import (
     verify,
 )
 from edgegraceful._search import STACK_MARGIN, completion_order
-from edgegraceful import _orbits
+from edgegraceful import _orbits, _search
 from support import (
     all_graceful_oracle,
     completion_flags_oracle,
@@ -363,6 +363,33 @@ class TestDegenerateInputs:
         out = search(Graph(4, [(0, 1)]), SearchOptions(mode="all"))
         assert out.solution_count == 0
         assert out.exhausted
+
+    def test_isolated_rule_answers_before_the_depth_guard(self):
+        # a path too deep for the recursion (1 000 edges at the default limit)
+        # plus two isolated vertices is refuted, not refused
+        q = sys.getrecursionlimit()
+        g = Graph(q + 3, path(q + 1).edges)
+        for mode in ("first", "all", "count"):
+            out = search(g, SearchOptions(mode=mode))
+            assert (out.solutions, out.solution_count, out.nodes_expanded,
+                    out.exhausted) == ((), 0, 0, True)
+
+    def test_entry_rules_run_before_any_set_up(self, monkeypatch):
+        def no_set_up(graph):
+            raise AssertionError("search built an edge order")
+
+        monkeypatch.setattr(_search, "completion_order", no_set_up)
+        q = sys.getrecursionlimit()
+        deep = path(q + 1)
+        out = search(Graph(q + 3, deep.edges))
+        assert (out.solution_count, out.nodes_expanded, out.exhausted) == (0, 0, True)
+        out = search(path(1))
+        assert (out.solutions, out.solution_count, out.nodes_expanded, out.exhausted) == (
+            (EdgeLabeling(path(1), ()),), 1, 0, False)
+        out = search(Graph(3, [(0, 1)]), SearchOptions(mode="count"))
+        assert (out.solution_count, out.nodes_expanded, out.exhausted) == (0, 1, True)
+        with pytest.raises(ValueError, match="recursion limit"):
+            search(deep)
 
     def test_depth_beyond_recursion_limit_rejected(self):
         # odd paths are labeled 1..q in order, so q levels are reached at once
