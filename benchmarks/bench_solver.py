@@ -21,7 +21,10 @@ times four layers with ``time.perf_counter``:
   F_{m,n} block and each random |N| decade and kind, gives each side's
   median over the cell's equations;
 - search: ``search`` in modes "count" and "first" on ``SEARCH_GRAPHS``,
-  where mode "first" is exhaustive on the graphs that have no labeling;
+  where mode "first" is exhaustive on the graphs that have no labeling, and
+  in mode "all" with ``limit=1000`` on F_{2,5} and F_{1,11}, whose leaves
+  each stand for 128 and 512 labelings, so the call builds the labelings
+  of several leaves (``SEARCH_RUNS``);
 - order: one ``_search.completion_order`` call on each of ``ORDER_GRAPHS``,
   fans large enough that the edge order alone takes measurable time;
 - startup: the wall time of a whole child interpreter per command of
@@ -33,9 +36,11 @@ Every solver, search and order row, and each layer's total (one child's
 rows summed), gives each side's median and quartiles over its ``ROUNDS``
 children, so a reader can tell a host's swing from a change.
 
-Row, solution and node counts, the first-mode witnesses, the edge orders'
-steps and every start-up command's stdout are deterministic and must agree
-on both sides; the script exits 1 when they do not.
+Row, solution and node counts, the first-mode witnesses, a sha256 of each
+search call's whole sequence of returned labelings (so both sides must
+return the same labelings in the same order), the edge orders' steps and
+every start-up command's stdout are deterministic and must agree on both
+sides; the script exits 1 when they do not.
 
 Each ``--records`` pair names two ``perfbench/run.py`` run records of the
 same workload and seed, one per side.  Their ``nodes_expanded_per_task``
@@ -72,7 +77,10 @@ REPEATS = 5  # calls per equation per child
 SEARCH_GRAPHS = (("F_1_5", "fan", (1, 5)), ("F_1_6", "fan", (1, 6)), ("F_2_4", "fan", (2, 4)),
                  ("C_9", "cycle", (9,)), ("C_11", "cycle", (11,)), ("P_10", "path", (10,)),
                  ("K_5", "complete", (5,)))
-SEARCH_MODES = ("count", "first")
+# one search call per (graph, mode, limit): modes "count" and "first" on each
+# graph, then mode "all" on two fans whose leaves stand for many labelings
+SEARCH_RUNS = ([(graph, mode, None) for graph in SEARCH_GRAPHS for mode in ("count", "first")]
+               + [(("F_2_5", "fan", (2, 5)), "all", 1000), (("F_1_11", "fan", (1, 11)), "all", 1000)])
 ORDER_GRAPHS = (("F_3_309", "fan", (3, 309)), ("F_4_836", "fan", (4, 836)))
 STARTUP_ROUNDS = 25  # child processes per side and command
 STARTUP_COMMANDS = (
@@ -86,7 +94,7 @@ STARTUP_COMMANDS = (
                               "--format", "json"]),
 )
 SOLVER_COUNTS = ("rows", "integral_rows", "solutions")
-SEARCH_COUNTS = ("solution_count", "nodes_expanded", "exhausted", "witness")
+SEARCH_COUNTS = ("solution_count", "nodes_expanded", "exhausted", "witness", "solutions_sha256")
 ORDER_COUNTS = ("q", "steps_sha256")
 
 
@@ -106,20 +114,23 @@ def search_graph(eg, family: str, args):
 
 
 def time_search(eg) -> list[dict]:
-    """Per graph and mode, the time (s) of one call, the counts and the witness."""
+    """Per graph, mode and limit, the time (s) of one call, the counts, the
+    witness and a digest of every returned labeling in order."""
     out = []
-    for name, family, args in SEARCH_GRAPHS:
+    for (name, family, args), mode, limit in SEARCH_RUNS:
         graph = search_graph(eg, family, args)
-        for mode in SEARCH_MODES:
-            t0 = time.perf_counter()  # one call: F_{1,6} first mode alone takes about 1 s
-            result = eg.search(graph, eg.SearchOptions(mode=mode))
-            elapsed = time.perf_counter() - t0
-            out.append({
-                "graph": name, "mode": mode, "solution_count": result.solution_count,
-                "nodes_expanded": result.nodes_expanded, "exhausted": result.exhausted,
-                "witness": [list(s.labels) for s in result.solutions[:1]],
-                "search_s": elapsed,
-            })
+        t0 = time.perf_counter()  # one call: F_{1,6} first mode alone takes about 1 s
+        result = eg.search(graph, eg.SearchOptions(mode=mode, limit=limit))
+        elapsed = time.perf_counter() - t0
+        labels = [s.labels for s in result.solutions]
+        out.append({
+            "graph": name, "mode": mode, "limit": limit,
+            "solution_count": result.solution_count,
+            "nodes_expanded": result.nodes_expanded, "exhausted": result.exhausted,
+            "witness": [list(s) for s in labels[:1]],
+            "solutions_sha256": hashlib.sha256(repr(labels).encode()).hexdigest(),
+            "search_s": elapsed,
+        })
     return out
 
 
@@ -343,14 +354,14 @@ def main() -> int:
     solver_metrics = ("integer_solutions_s", "solve_factor_pairs_s", "solve_factor_pairs_read_s")
     solver_rows, solver_bad = compare(runs, "solver", ("equation", "coeffs"),
                                       SOLVER_COUNTS, solver_metrics)
-    search_rows, search_bad = compare(runs, "search", ("graph", "mode"),
+    search_rows, search_bad = compare(runs, "search", ("graph", "mode", "limit"),
                                       SEARCH_COUNTS, ("search_s",))
     order_rows, order_bad = compare(runs, "order", ("graph",), ORDER_COUNTS, ("order_s",))
     record = {
         "what": "integer_solutions, solve_factor_pairs alone and solve_factor_pairs "
                 "with a read of X, Y, x and y of every row, per equation of "
-                "perfbench/expected.json and their medians per cell, search per graph "
-                "and mode, completion_order per graph, and child start-up per command, "
+                "perfbench/expected.json and their medians per cell, search per graph, "
+                "mode and limit, completion_order per graph, and child start-up per command, "
                 "before and after",
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {platform.system()}, "
@@ -359,7 +370,7 @@ def main() -> int:
         "git_sha_after": f"working tree on {git('rev-parse', 'HEAD')}",
         "method": f"each side in its own child process, {ROUNDS} children per side "
                   f"alternating which goes first; per child, the median of {REPEATS} "
-                  "calls per equation and of 1 per graph and mode or per order; "
+                  "calls per equation and of 1 per search call or per order; "
                   "per row and per total, the median and quartiles over the children "
                   "(a total sums one child's rows); seconds; start-up: "
                   f"{STARTUP_ROUNDS} children per side and command, alternating which "

@@ -8,10 +8,12 @@ class.  The labels used within a class therefore always form a prefix, and
 every leaf reached is the canonical member of a set of ``prod m_c!``
 labelings (``m_c`` the number of labels in 1..q congruent to c) that differ
 only by permuting labels within classes and share the leaf's residues.  With
-``q = k*p + r`` that weight is ``(k+1)!**r * k!**(p-r)``.  Mode "count" adds
-the weight per leaf, mode "all" expands each leaf lazily into its labelings
-(the leaf itself first), and mode "first" returns the first leaf: of all
-valid labelings, the one whose labels read in search order are smallest.
+``q = k*p + r`` that weight is ``(k+1)!**r * k!**(p-r)``.  Every mode adds
+the weight per leaf and stops once the sum reaches its limit; modes "first"
+and "all" also keep the leaf, and after the recursion return the first that
+many labelings of the kept leaves, each leaf expanded into its labelings
+(itself first).  So mode "first" returns the first leaf: of all valid
+labelings, the one whose labels read in search order are smallest.
 
 A vertex's residue is finalized the moment its last incident edge gets a
 label.  Before a label is placed, the residues it would finalize are checked;
@@ -43,11 +45,13 @@ edge order is fixed up front, so repeated runs give identical outcomes,
 including the node counter and, in mode "first", the same labeling.
 
 The recursion goes one Python frame per edge but the last, whose label is
-the one left over: it is checked, not searched.  A graph that ``search``
-does not answer by rule first is refused with one ValueError, instead of
-overflowing, when it has more edges than the interpreter's recursion limit
-less ``STACK_MARGIN`` or when a caller deeper than ``STACK_MARGIN`` frames
-leaves too little of the limit.
+the one left over: it is checked, not searched.  A leaf makes no call, so
+the deepest frame is a ``place`` frame and ``STACK_MARGIN`` is exactly the
+frames left to the caller.  A graph that ``search`` does not answer by rule
+first is refused with one ValueError, instead of overflowing, when it has
+more edges than the interpreter's recursion limit less ``STACK_MARGIN`` or
+when a caller deeper than ``STACK_MARGIN`` frames leaves too little of the
+limit.
 """
 
 from __future__ import annotations
@@ -237,21 +241,21 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     residue_taken = [False] * p
     residue_taken[0] = bool(isolated)
     level_label = [0] * q
-    solutions: list[EdgeLabeling] = []
+    leaves: list[tuple[int, ...]] = []  # modes "first" and "all": every leaf reached
     count = 0
     nodes = 0
     stopped = False
 
-    def leaf_labelings():
-        """The leaf's own labeling, then its other within-class permutations."""
+    def leaf_labelings(leaf: tuple[int, ...]):
+        """A kept leaf's own labeling, then its other within-class permutations."""
         labels = [0] * q
         for pos, i in enumerate(order):
-            labels[i] = level_label[pos]
-        yield tuple(labels)
+            labels[i] = leaf[pos]
+        yield tuple(labels)  # before the product, which mode "first" never builds
         # edge indices per class in level order; their labels ascend with it
         classes: list[list[int]] = [[] for _ in range(p)]
         for pos, i in enumerate(order):
-            classes[level_label[pos] % p].append(i)
+            classes[leaf[pos] % p].append(i)
         class_labels = [[labels[i] for i in c] for c in classes]
         perms = itertools.product(*(itertools.permutations(c) for c in classes))
         for perm in itertools.islice(perms, 1, None):
@@ -260,24 +264,8 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
                     labels[i] = lab
             yield tuple(labels)
 
-    def record() -> None:
-        nonlocal count, stopped
-        if collect:
-            for labels in leaf_labelings():
-                count += 1
-                solutions.append(EdgeLabeling(graph, labels))
-                if count == target:
-                    break
-        elif sym_label:
-            count += weight * orbit_size_at[level_label.index(sym_label)]
-        else:
-            count += weight
-        if target is not None and count >= target:
-            count = target
-            stopped = True
-
     def place(pos: int, free: int) -> None:
-        nonlocal nodes
+        nonlocal nodes, count, stopped
         u, v, cu, cv, labels = plan[pos]
         su, sv = sums[u], sums[v]
         if pos == forced_pos and not used[sym_label]:
@@ -314,8 +302,15 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
                 ra = (sums[a] + x) % p
                 rb = (sums[b] + x) % p
                 if ra != rb and not residue_taken[ra] and not residue_taken[rb]:
+                    # the leaf: its weight, times the orbit holding sym_label
                     level_label[q - 1] = x
-                    record()
+                    count += (weight * orbit_size_at[level_label.index(sym_label)]
+                              if sym_label else weight)
+                    if collect:
+                        leaves.append(tuple(level_label))
+                    if target is not None and count >= target:
+                        count = target
+                        stopped = True
             else:
                 place(pos + 1, free - lab)
             if cu:
@@ -333,4 +328,8 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     except RecursionError:
         # the caller holds more than the STACK_MARGIN frames the check leaves it
         raise _too_deep(q) from None
-    return SearchOutcome(tuple(solutions), count, nodes, not stopped)
+    # the first count labelings of the kept leaves, each leaf's own first
+    labelings = itertools.chain.from_iterable(map(leaf_labelings, leaves))
+    solutions = tuple(EdgeLabeling(graph, labels)
+                      for labels in itertools.islice(labelings, count))
+    return SearchOutcome(solutions, count, nodes, not stopped)

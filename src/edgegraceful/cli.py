@@ -10,7 +10,8 @@ Subcommands compose through JSON documents on stdin/stdout:
     classify-fans screen usual fans, optionally confirming by search
 
 Exit codes: 0 success or positive verdict, 1 definitive negative verdict,
-2 malformed input, violated restriction or closed output pipe.
+2 malformed input, violated restriction, closed output pipe or a closed
+standard input or output.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ def labeling_to_dot(labeling: EdgeLabeling) -> str:
 
 def _read_json(source: str):
     if source == "-":
+        if sys.stdin is None:  # the process was started with stdin closed
+            raise ValueError("standard input is closed")
         text = sys.stdin.read()
     else:
         with open(source, encoding="utf-8") as fh:
@@ -312,6 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if sys.stdout is None:
+        # started with stdout closed: nothing can be written, as with a closed pipe
+        return USAGE
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -539,6 +540,32 @@ class TestPipeline:
         assert code == 1
         assert out == ""
         assert "error" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["lo"], ["search", "-"]], ids=["lo", "search"])
+    def test_closed_stdin_exits_2_with_one_error_line(self, capsys, monkeypatch, argv):
+        # a process started with stdin closed has sys.stdin None
+        monkeypatch.setattr("sys.stdin", None)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: standard input is closed\n"
+
+    def test_closed_stdout_exits_2_quietly(self, capsys, monkeypatch):
+        # a process started with stdout closed has sys.stdout None
+        monkeypatch.setattr("sys.stdout", None)
+        code = main(["lo", "--p", "12", "--q", "21"])
+        monkeypatch.undo()
+        assert code == 2
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv, fd", [(["lo"], 0), (["search", "-"], 0),
+                                          (["lo", "--p", "12", "--q", "21"], 1)],
+                             ids=["lo-stdin", "search-stdin", "lo-stdout"])
+    def test_closed_standard_stream_exits_2_without_traceback(self, argv, fd):
+        # as `lo <&-`, `search - <&-` and `lo --p 12 --q 21 >&-` in a shell
+        proc = subprocess.run(CLI + argv, env=src_env(), capture_output=True, text=True,
+                              timeout=60, preexec_fn=lambda: os.close(fd))
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: standard input is closed\n" if fd == 0 else "")
 
     @pytest.mark.parametrize("n, head", [(200_000, 10), (3, 0)],
                              ids=["in-print", "in-final-flush"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import sys
@@ -54,6 +55,15 @@ PINNED_COUNT_TREES = [
     (fan(2, 2), 32, 76), (fan(2, 3), 0, 2_567),
     (cycle(7), 336, 889), (cycle(8), 0, 3_948), (cycle(9), 3_240, 19_817),
     (path(8), 0, 2_331), (path(9), 360, 10_116), (path(10), 0, 58_518),
+]
+
+# sha256 of repr() of the labels of every labeling that mode "all" with
+# limit 1000 returns, in order, recorded from the kernel that built each
+# leaf's labelings inside the recursion; a leaf of F_{2,5} stands for 128
+# labelings and one of F_{1,11} for 512
+PINNED_ALL_ORDERS = [
+    (fan(2, 5), "4478a4ed88336a6ed389c5fcc00d2ce0d2ae9e946d2c5ce624f966fd905bd740"),
+    (fan(1, 11), "d1078d72751ec15d477ceb0b3985eef62c3ab2eeea4b355a4b376ca8f87f9a25"),
 ]
 
 # K_5 has q = 2p, so no label is alone in its residue class; 787 200 is the
@@ -289,6 +299,48 @@ class TestResidueClassSearch:
     def test_first_and_all_mode_trees_are_pinned(self, g, nodes):
         first = search(g, SearchOptions(mode="first")).nodes_expanded
         assert (first, search(g, SearchOptions(mode="all", limit=200)).nodes_expanded) == nodes
+
+
+def frame_depth() -> int:
+    """Frames on the stack from the caller of this function outward."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestLeafRule:
+    """Every mode adds the leaf's weight; modes "first" and "all" keep the
+    leaf and build its labelings after the recursion has returned."""
+
+    @pytest.mark.parametrize("g", [fan(1, 3), fan(2, 2), cycle(5)],
+                             ids=["fan13", "fan22", "cycle5"])
+    def test_a_limit_returns_a_prefix_of_the_whole_sequence(self, g):
+        whole = search(g, SearchOptions(mode="all")).solutions
+        for k in range(1, len(whole) + 1):
+            assert search(g, SearchOptions(mode="all", limit=k)).solutions == whole[:k]
+
+    @pytest.mark.parametrize("g, digest", PINNED_ALL_ORDERS, ids=["fan25", "fan1_11"])
+    def test_all_mode_order_is_pinned(self, g, digest):
+        labels = [sol.labels for sol in search(g, SearchOptions(mode="all", limit=1000)).solutions]
+        assert len(labels) == 1000
+        assert hashlib.sha256(repr(labels).encode()).hexdigest() == digest
+
+    def test_labelings_are_built_near_the_caller(self, monkeypatch):
+        # an odd path reaches its leaf 199 place frames deep; the labeling is
+        # built after those frames have returned
+        depths = []
+
+        class DepthProbe(EdgeLabeling):
+            def __init__(self, *args):
+                depths.append(frame_depth())
+                super().__init__(*args)
+
+        monkeypatch.setattr(_search, "EdgeLabeling", DepthProbe)
+        caller = frame_depth()
+        out = search(path(201))
+        assert out.solution_count == 1 and len(depths) == 1
+        assert depths[0] - caller <= 5
 
 
 class TestSymmetryBreaking:
