@@ -24,7 +24,9 @@ times four layers with ``time.perf_counter``:
   where mode "first" is exhaustive on the graphs that have no labeling, and
   in mode "all" with ``limit=1000`` on F_{2,5} and F_{1,11}, whose leaves
   each stand for 128 and 512 labelings, so the call builds the labelings
-  of several leaves (``SEARCH_RUNS``);
+  of several leaves, and with ``limit=2`` on K_17, whose leaf stands for
+  8!**17 labelings, so the call times how much of one leaf's expansion
+  two labelings cost (``SEARCH_RUNS``);
 - order: one ``_search.completion_order`` call on each of ``ORDER_GRAPHS``,
   fans large enough that the edge order alone takes measurable time;
 - startup: the wall time of a whole child interpreter per command of
@@ -79,8 +81,10 @@ SEARCH_GRAPHS = (("F_1_5", "fan", (1, 5)), ("F_1_6", "fan", (1, 6)), ("F_2_4", "
                  ("K_5", "complete", (5,)))
 # one search call per (graph, mode, limit): modes "count" and "first" on each
 # graph, then mode "all" on two fans whose leaves stand for many labelings
+# and on K_17, whose one leaf is cut at its second labeling
 SEARCH_RUNS = ([(graph, mode, None) for graph in SEARCH_GRAPHS for mode in ("count", "first")]
-               + [(("F_2_5", "fan", (2, 5)), "all", 1000), (("F_1_11", "fan", (1, 11)), "all", 1000)])
+               + [(("F_2_5", "fan", (2, 5)), "all", 1000), (("F_1_11", "fan", (1, 11)), "all", 1000),
+                  (("K_17", "complete", (17,)), "all", 2)])
 ORDER_GRAPHS = (("F_3_309", "fan", (3, 309)), ("F_4_836", "fan", (4, 836)))
 STARTUP_ROUNDS = 25  # child processes per side and command
 STARTUP_COMMANDS = (

@@ -11,9 +11,15 @@ only by permuting labels within classes and share the leaf's residues.  With
 ``q = k*p + r`` that weight is ``(k+1)!**r * k!**(p-r)``.  Every mode adds
 the weight per leaf and stops once the sum reaches its limit; modes "first"
 and "all" also keep the leaf, and after the recursion return the first that
-many labelings of the kept leaves, each leaf expanded into its labelings
-(itself first).  So mode "first" returns the first leaf: of all valid
-labelings, the one whose labels read in search order are smallest.
+many labelings of the kept leaves.  A kept leaf is expanded lazily, so a
+limit builds only the labelings it returns: a recursive generator walks the
+classes that hold two or more labels in residue order, and each level runs
+``itertools.permutations`` over its class's edges, giving them the class's
+labels in ascending order.  The first class varies slowest, as in
+``itertools.product``, and every level yields its identity first, so each
+leaf's own labeling comes first.  So mode "first" returns the first leaf:
+of all valid labelings, the one whose labels read in search order are
+smallest.
 
 A vertex's residue is finalized the moment its last incident edge gets a
 label.  Before a label is placed, the residues it would finalize are checked;
@@ -47,11 +53,15 @@ including the node counter and, in mode "first", the same labeling.
 The recursion goes one Python frame per edge but the last, whose label is
 the one left over: it is checked, not searched.  A leaf makes no call, so
 the deepest frame is a ``place`` frame and ``STACK_MARGIN`` is exactly the
-frames left to the caller.  A graph that ``search`` does not answer by rule
-first is refused with one ValueError, instead of overflowing, when it has
-more edges than the interpreter's recursion limit less ``STACK_MARGIN`` or
-when a caller deeper than ``STACK_MARGIN`` frames leaves too little of the
-limit.
+frames left to the caller.  The expansion runs after the recursion has
+returned and nests one generator frame per class of two or more labels,
+plus one.  There are at most min(p, q - p) <= q/2 such classes, and none
+unless q > p, which a simple graph allows only from q = 5 on; so the
+expansion never goes deeper than the q - 1 ``place`` frames before it.
+A graph that ``search`` does not answer by rule first is refused with one
+ValueError, instead of overflowing, when it has more edges than the
+interpreter's recursion limit less ``STACK_MARGIN`` or when a caller deeper
+than ``STACK_MARGIN`` frames leaves too little of the limit.
 """
 
 from __future__ import annotations
@@ -247,22 +257,25 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     stopped = False
 
     def leaf_labelings(leaf: tuple[int, ...]):
-        """A kept leaf's own labeling, then its other within-class permutations."""
+        """A kept leaf's labelings, built one at a time: its own first."""
         labels = [0] * q
-        for pos, i in enumerate(order):
-            labels[i] = leaf[pos]
-        yield tuple(labels)  # before the product, which mode "first" never builds
-        # edge indices per class in level order; their labels ascend with it
-        classes: list[list[int]] = [[] for _ in range(p)]
-        for pos, i in enumerate(order):
-            classes[leaf[pos] % p].append(i)
-        class_labels = [[labels[i] for i in c] for c in classes]
-        perms = itertools.product(*(itertools.permutations(c) for c in classes))
-        for perm in itertools.islice(perms, 1, None):
-            for class_edges, class_labs in zip(perm, class_labels):
-                for i, lab in zip(class_edges, class_labs):
-                    labels[i] = lab
+        classes: list[list[int]] = [[] for _ in range(p)]  # edges per class, in level order
+        for i, lab in zip(order, leaf):
+            labels[i] = lab
+            classes[lab % p].append(i)
+        # the classes that can move, each with its labels, which ascend in level order
+        return expand(labels, [(c, [labels[i] for i in c]) for c in classes if len(c) > 1], 0)
+
+    def expand(labels: list[int], moves: list[tuple[list[int], list[int]]], level: int):
+        """Every within-class permutation from ``level`` on, the first class slowest."""
+        if level == len(moves):
             yield tuple(labels)
+            return
+        edges, ascending = moves[level]
+        for perm in itertools.permutations(edges):  # the identity first
+            for i, lab in zip(perm, ascending):
+                labels[i] = lab
+            yield from expand(labels, moves, level + 1)
 
     def place(pos: int, free: int) -> None:
         nonlocal nodes, count, stopped

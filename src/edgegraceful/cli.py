@@ -292,8 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="find or refute edge-graceful labelings")
     p_search.add_argument("input", nargs="?", default="-")
-    p_search.add_argument("--mode", choices=MODES, default="first")
-    p_search.add_argument("--limit", type=int, default=None)
+    p_search.add_argument("--mode", choices=MODES, default="first",
+                          help="first: one labeling; all: every labeling; count: how many")
+    p_search.add_argument("--limit", type=int, default=None,
+                          help="caps the labelings in modes all and count; "
+                               "mode first returns at most one")
     p_search.add_argument("--format", dest="fmt", choices=("labels", "dot"),
                           default="labels")
     p_search.set_defaults(func=cmd_search)

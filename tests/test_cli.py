@@ -372,6 +372,21 @@ class TestSearch:
         assert "warning" not in err
         assert out == ""
 
+    def test_help_says_what_the_limit_caps(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "first: one labeling; all: every labeling; count: how many" in out
+        assert "caps the labelings in modes all and count; mode first returns at most one" in out
+
+    def test_first_mode_returns_one_labeling_whatever_the_limit(self, capsys, monkeypatch):
+        code, out, _ = run_with_stdin(
+            capsys, monkeypatch, self.graph_doc(fan(1, 3)), "search", "-", "--limit", "5"
+        )
+        assert code == 0
+        assert verify(labeling_from_doc(json.loads(out))).edge_graceful
+
 
 class TestVerify:
     def test_cycle5_sequential_valid(self, capsys, monkeypatch):

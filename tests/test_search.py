@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -57,18 +58,26 @@ PINNED_COUNT_TREES = [
     (path(8), 0, 2_331), (path(9), 360, 10_116), (path(10), 0, 58_518),
 ]
 
+
+def complete(n: int) -> Graph:
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
 # sha256 of repr() of the labels of every labeling that mode "all" with
-# limit 1000 returns, in order, recorded from the kernel that built each
-# leaf's labelings inside the recursion; a leaf of F_{2,5} stands for 128
-# labelings and one of F_{1,11} for 512
+# limit 1000 returns, in order.  The fans' digests were recorded from the
+# kernel that built each leaf's labelings inside the recursion, K_7's from
+# the one that expanded a leaf through an eager itertools.product.  A leaf
+# of F_{2,5} stands for 128 labelings and one of F_{1,11} for 512, all in
+# classes of two labels; K_7's classes hold three
 PINNED_ALL_ORDERS = [
     (fan(2, 5), "4478a4ed88336a6ed389c5fcc00d2ce0d2ae9e946d2c5ce624f966fd905bd740"),
     (fan(1, 11), "d1078d72751ec15d477ceb0b3985eef62c3ab2eeea4b355a4b376ca8f87f9a25"),
+    (complete(7), "e75b6ef6c0e2903939fd53efee26028bbecb6b31ec80a8c3444eaf0e16acbaa5"),
 ]
 
 # K_5 has q = 2p, so no label is alone in its residue class; 787 200 is the
 # count of the 10! permutation scan, 235 470 the class tree's size
-K5 = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+K5 = complete(5)
 
 
 def solution_set(outcome) -> set[tuple[int, ...]]:
@@ -320,7 +329,7 @@ class TestLeafRule:
         for k in range(1, len(whole) + 1):
             assert search(g, SearchOptions(mode="all", limit=k)).solutions == whole[:k]
 
-    @pytest.mark.parametrize("g, digest", PINNED_ALL_ORDERS, ids=["fan25", "fan1_11"])
+    @pytest.mark.parametrize("g, digest", PINNED_ALL_ORDERS, ids=["fan25", "fan1_11", "K7"])
     def test_all_mode_order_is_pinned(self, g, digest):
         labels = [sol.labels for sol in search(g, SearchOptions(mode="all", limit=1000)).solutions]
         assert len(labels) == 1000
@@ -341,6 +350,18 @@ class TestLeafRule:
         out = search(path(201))
         assert out.solution_count == 1 and len(depths) == 1
         assert depths[0] - caller <= 5
+
+    def test_a_limit_builds_only_what_it_returns(self):
+        # K_17's 17 classes hold 8 labels each; expanding every class's
+        # 8! permutations up front peaked at 73 MiB
+        tracemalloc.start()
+        try:
+            out = search(complete(17), SearchOptions(mode="all", limit=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.solutions) == out.solution_count == 2
+        assert peak < 2 * 2**20
 
 
 class TestSymmetryBreaking:
