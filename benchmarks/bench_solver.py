@@ -24,9 +24,14 @@ times four layers with ``time.perf_counter``:
   where mode "first" is exhaustive on the graphs that have no labeling, and
   in mode "all" with ``limit=1000`` on F_{2,5} and F_{1,11}, whose leaves
   each stand for 128 and 512 labelings, so the call builds the labelings
-  of several leaves, and with ``limit=2`` on K_17, whose leaf stands for
+  of several leaves, with ``limit=2`` on K_17, whose leaf stands for
   8!**17 labelings, so the call times how much of one leaf's expansion
-  two labelings cost (``SEARCH_RUNS``);
+  two labelings cost, and in mode "first" on F_{4,52}, F_{6,37} and P_801,
+  deep trees (q = 259, 258 and 800, the last at the default depth guard)
+  whose labels run far past 64 bits (``SEARCH_RUNS``).  A row whose first
+  call takes under ``SHORT_S`` is called ``REPEATS`` times and reports the
+  fastest, so a row of a few milliseconds is not split by the host's
+  swing between one call and the next;
 - order: one ``_search.completion_order`` call on each of ``ORDER_GRAPHS``,
   fans large enough that the edge order alone takes measurable time;
 - startup: the wall time of a whole child interpreter per command of
@@ -75,16 +80,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = ROOT / "perfbench" / "expected.json"
 ROUNDS = 6  # child processes per side
-REPEATS = 5  # calls per equation per child
+REPEATS = 5  # calls per equation per child, and per short search row
+SHORT_S = 0.05  # a search row whose first call is faster is timed over REPEATS calls
 SEARCH_GRAPHS = (("F_1_5", "fan", (1, 5)), ("F_1_6", "fan", (1, 6)), ("F_2_4", "fan", (2, 4)),
                  ("C_9", "cycle", (9,)), ("C_11", "cycle", (11,)), ("P_10", "path", (10,)),
                  ("K_5", "complete", (5,)))
-# one search call per (graph, mode, limit): modes "count" and "first" on each
-# graph, then mode "all" on two fans whose leaves stand for many labelings
-# and on K_17, whose one leaf is cut at its second labeling
+# one row per (graph, mode, limit): modes "count" and "first" on each graph,
+# then mode "all" on two fans whose leaves stand for many labelings and on
+# K_17, whose one leaf is cut at its second labeling, then mode "first" on
+# deep trees
 SEARCH_RUNS = ([(graph, mode, None) for graph in SEARCH_GRAPHS for mode in ("count", "first")]
                + [(("F_2_5", "fan", (2, 5)), "all", 1000), (("F_1_11", "fan", (1, 11)), "all", 1000),
-                  (("K_17", "complete", (17,)), "all", 2)])
+                  (("K_17", "complete", (17,)), "all", 2),
+                  (("F_4_52", "fan", (4, 52)), "first", None),
+                  (("F_6_37", "fan", (6, 37)), "first", None),
+                  (("P_801", "path", (801,)), "first", None)])
 ORDER_GRAPHS = (("F_3_309", "fan", (3, 309)), ("F_4_836", "fan", (4, 836)))
 STARTUP_ROUNDS = 25  # child processes per side and command
 STARTUP_COMMANDS = (
@@ -118,14 +128,18 @@ def search_graph(eg, family: str, args):
 
 
 def time_search(eg) -> list[dict]:
-    """Per graph, mode and limit, the time (s) of one call, the counts, the
-    witness and a digest of every returned labeling in order."""
+    """Per graph, mode and limit, the time (s) of one call, or the fastest of
+    REPEATS when the first takes under SHORT_S, the counts, the witness and a
+    digest of every returned labeling in order."""
     out = []
     for (name, family, args), mode, limit in SEARCH_RUNS:
         graph = search_graph(eg, family, args)
-        t0 = time.perf_counter()  # one call: F_{1,6} first mode alone takes about 1 s
-        result = eg.search(graph, eg.SearchOptions(mode=mode, limit=limit))
-        elapsed = time.perf_counter() - t0
+        elapsed, calls = float("inf"), 0
+        while calls < (REPEATS if elapsed < SHORT_S else 1):
+            t0 = time.perf_counter()
+            result = eg.search(graph, eg.SearchOptions(mode=mode, limit=limit))
+            elapsed = min(elapsed, time.perf_counter() - t0)
+            calls += 1
         labels = [s.labels for s in result.solutions]
         out.append({
             "graph": name, "mode": mode, "limit": limit,
@@ -374,7 +388,9 @@ def main() -> int:
         "git_sha_after": f"working tree on {git('rev-parse', 'HEAD')}",
         "method": f"each side in its own child process, {ROUNDS} children per side "
                   f"alternating which goes first; per child, the median of {REPEATS} "
-                  "calls per equation and of 1 per search call or per order; "
+                  f"calls per equation, the fastest of {REPEATS} calls per search row "
+                  f"whose first call takes under {SHORT_S} s and else of 1, and 1 call "
+                  "per order; "
                   "per row and per total, the median and quartiles over the children "
                   "(a total sums one child's rows); seconds; start-up: "
                   f"{STARTUP_ROUNDS} children per side and command, alternating which "

@@ -4,14 +4,24 @@ The search assigns labels to edges depth-first, one edge per level, never
 reusing a label.  A vertex's residue depends only on its incident labels mod
 p, so labels ``l`` and ``l + p`` are interchangeable: the search tries each
 residue class once per level, always with the smallest unused label of that
-class.  The labels used within a class therefore always form a prefix, and
-every leaf reached is the canonical member of a set of ``prod m_c!``
-labelings (``m_c`` the number of labels in 1..q congruent to c) that differ
-only by permuting labels within classes and share the leaf's residues.  With
-``q = k*p + r`` that weight is ``(k+1)!**r * k!**(p-r)``.  Every mode adds
-the weight per leaf and stops once the sum reaches its limit; modes "first"
-and "all" also keep the leaf, and after the recursion return the first that
-many labelings of the kept leaves.  A kept leaf is expanded lazily, so a
+class.  Those labels are the candidates, and each call gets them as the set
+bits of one int, ``avail``, label l as bit l - 1: the root passes labels
+1..min(p, q), and a child gets its parent's with the placed label's bit
+swapped for that of the next label of its class, if any, so nothing is
+undone on the way back.  A call takes the set bits lowest first, so labels
+are tried in increasing order, and its work grows with its candidates, at
+most min(p, q), not with q.  With q <= 8 every such int, and every step
+of taking one apart, is below 256, among the ints the interpreter keeps
+cached, so the candidates of a small tree allocate nothing.  Since each
+class offers only its smallest unused label, the labels used within a
+class always form a prefix, and every leaf reached is the canonical
+member of a set of ``prod m_c!`` labelings (``m_c`` the number of labels in
+1..q congruent to c) that differ only by permuting labels within classes
+and share the leaf's residues.  With ``q = k*p + r`` that weight is
+``(k+1)!**r * k!**(p-r)``.  Every mode adds the weight per leaf and stops
+once the sum reaches its limit; modes "first" and "all" also keep the leaf,
+and after the recursion return the first that many labelings of the kept
+leaves.  A kept leaf is expanded lazily, so a
 limit builds only the labelings it returns: a recursive generator walks the
 classes that hold two or more labels in residue order, and each level runs
 ``itertools.permutations`` over its class's edges, giving them the class's
@@ -51,7 +61,9 @@ edge order is fixed up front, so repeated runs give identical outcomes,
 including the node counter and, in mode "first", the same labeling.
 
 The recursion goes one Python frame per edge but the last, whose label is
-the one left over: it is checked, not searched.  A leaf makes no call, so
+the one left over: it is checked, not searched.  With one label left, its
+class is the only one with a candidate, so the penultimate frame reads it as
+the one set bit of the ``avail`` it would pass down.  A leaf makes no call, so
 the deepest frame is a ``place`` frame and ``STACK_MARGIN`` is exactly the
 frames left to the caller.  The expansion runs after the recursion has
 returned and nests one generator frame per class of two or more labels,
@@ -221,9 +233,8 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     k, rem = divmod(q, p)
     weight = factorial(k + 1) ** rem * factorial(k) ** (p - rem)
 
-    all_labels = tuple(range(1, q + 1))
     sym_label, forced_pos, orbit_size_at = 0, -1, []  # 0: no symmetry breaking
-    reps, without_sym = range(q), ()  # the positions that try every label
+    masks = [-1] * q  # per position, the labels it may take (label l is bit l - 1): all
     if not collect and q < 2 * p:
         # symmetry breaking (module docstring): sym_label, alone in its class,
         # goes on each orbit's first-placed edge only; the orbit search is
@@ -238,15 +249,16 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
             rep_pos.setdefault(orbit[i], pos)
         reps = set(rep_pos.values())
         forced_pos = max(reps)
-        without_sym = tuple(lab for lab in all_labels if lab != sym_label)
+        masks = [-1 if pos in reps else ~(1 << sym_label - 1) for pos in range(q)]
         orbit_size_at = [orbit_size[orbit[i]] for i in order]
-    # per position: the edge, whether it completes u and v, the labels it tries
-    plan = [(*graph.edges[i], u_done, v_done, all_labels if pos in reps else without_sym)
+    # per position: the edge, whether it completes u and v, the labels it may take
+    plan = [(*graph.edges[i], u_done, v_done, masks[pos])
             for pos, (i, u_done, v_done) in enumerate(steps)]
     a, b = graph.edges[order[-1]]  # the last edge, checked at position q - 2
     penult = q - 2
 
-    used = [False] * (q + 1)
+    # per label x, the bits that swap it for the next label of its class (x's alone if none)
+    flip = [0] + [1 << x - 1 | (1 << x + p - 1 if x + p <= q else 0) for x in range(1, q + 1)]
     sums = [0] * p
     residue_taken = [False] * p
     residue_taken[0] = bool(isolated)
@@ -277,16 +289,17 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
                 labels[i] = lab
             yield from expand(labels, moves, level + 1)
 
-    def place(pos: int, free: int) -> None:
+    def place(pos: int, avail: int) -> None:
         nonlocal nodes, count, stopped
-        u, v, cu, cv, labels = plan[pos]
+        u, v, cu, cv, mask = plan[pos]
         su, sv = sums[u], sums[v]
-        if pos == forced_pos and not used[sym_label]:
-            labels = (sym_label,)  # the last representative: nowhere else is left
-        for lab in labels:
-            # only the smallest unused label of each residue class
-            if used[lab] or (lab > p and not used[lab - p]):
-                continue
+        if pos == forced_pos and avail >> sym_label - 1 & 1:
+            mask = 1 << sym_label - 1  # the last representative: nowhere else is left
+        cand = avail & mask
+        while cand:
+            left = cand & cand - 1  # cand without its lowest bit, the smallest label
+            lab = (cand ^ left).bit_length()
+            cand = left
             nodes += 1
             # reject a colliding label before any state changes
             if cu:
@@ -298,20 +311,21 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
                 if residue_taken[rv] or (cu and rv == ru):
                     continue
             level_label[pos] = lab
-            used[lab] = True
             sums[u] = su + lab
             sums[v] = sv + lab
             if cu:
                 residue_taken[ru] = True
             if cv:
                 residue_taken[rv] = True
+            rest = avail ^ flip[lab]  # lab's class moves on to its next label
             if pos == penult:
                 # the last edge takes the one label left, x, and completes both
-                # ends.  No class test: x - p is used.  No symmetry test: if the
-                # last position is a representative, x is sym_label just when it
-                # is unused, as forcing asks; if not, forced_pos placed sym_label
+                # ends.  One label is left, so rest holds its bit alone.  No
+                # symmetry test: if the last position is a representative, x is
+                # sym_label just when it is unused, as forcing asks; if not,
+                # forced_pos placed sym_label
                 nodes += 1
-                x = free - lab
+                x = rest.bit_length()
                 ra = (sums[a] + x) % p
                 rb = (sums[b] + x) % p
                 if ra != rb and not residue_taken[ra] and not residue_taken[rb]:
@@ -325,19 +339,18 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
                         count = target
                         stopped = True
             else:
-                place(pos + 1, free - lab)
+                place(pos + 1, rest)
             if cu:
                 residue_taken[ru] = False
             if cv:
                 residue_taken[rv] = False
             sums[u] = su
             sums[v] = sv
-            used[lab] = False
             if stopped:
                 return
 
     try:
-        place(0, q * (q + 1) // 2)
+        place(0, (1 << min(p, q)) - 1)  # each class's smallest label: 1..min(p, q)
     except RecursionError:
         # the caller holds more than the STACK_MARGIN frames the check leaves it
         raise _too_deep(q) from None

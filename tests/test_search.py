@@ -75,6 +75,17 @@ PINNED_ALL_ORDERS = [
     (complete(7), "e75b6ef6c0e2903939fd53efee26028bbecb6b31ec80a8c3444eaf0e16acbaa5"),
 ]
 
+# (graph, nodes_expanded, sha256 of repr() of the witness labels) in mode
+# "first" of trees whose labels run far past 64 bits: q = 259, 258 and 800,
+# the last exactly at the depth guard of the default recursion limit.
+# Recorded from the kernel that walked every label with a class test at each
+# node
+PINNED_DEEP_FIRST = [
+    (fan(4, 52), 867_293, "1ae3db951885d9469dfc3d4494da2d43fc8b7e08fab5746735352de63be9d6b4"),
+    (fan(6, 37), 11_166, "06b9062d4f24429933a9779beda108a890a01f61a5ce02285fbc86506a4443f6"),
+    (path(801), 800, "d6dc2adf0df31950d667dd42585cd91ac50286cdc735f431c85c6f185bca5ec5"),
+]
+
 # K_5 has q = 2p, so no label is alone in its residue class; 787 200 is the
 # count of the 10! permutation scan, 235 470 the class tree's size
 K5 = complete(5)
@@ -287,6 +298,15 @@ class TestResidueClassSearch:
     @pytest.mark.parametrize("g, labels", PINNED_WITNESSES)
     def test_first_mode_witness_is_pinned(self, g, labels):
         assert search(g).solutions[0].labels == labels
+
+    @pytest.mark.parametrize("g, nodes, digest", PINNED_DEEP_FIRST,
+                             ids=["fan4_52", "fan6_37", "path801"])
+    def test_deep_first_mode_trees_are_pinned(self, g, nodes, digest):
+        out = search(g)
+        witness = out.solutions[0]
+        assert out.nodes_expanded == nodes
+        assert hashlib.sha256(repr(witness.labels).encode()).hexdigest() == digest
+        assert verify(witness).edge_graceful
 
     def test_all_mode_limit_with_multiplicity_three(self):
         # p = 12, q = 29: five classes hold three labels, seven hold two
