@@ -26,12 +26,14 @@ times four layers with ``time.perf_counter``:
   each stand for 128 and 512 labelings, so the call builds the labelings
   of several leaves, with ``limit=2`` on K_17, whose leaf stands for
   8!**17 labelings, so the call times how much of one leaf's expansion
-  two labelings cost, and in mode "first" on F_{4,52}, F_{6,37} and P_801,
+  two labelings cost, in mode "first" on F_{4,52}, F_{6,37} and P_801,
   deep trees (q = 259, 258 and 800, the last at the default depth guard)
-  whose labels run far past 64 bits (``SEARCH_RUNS``).  A row whose first
-  call takes under ``SHORT_S`` is called ``REPEATS`` times and reports the
-  fastest, so a row of a few milliseconds is not split by the host's
-  swing between one call and the next;
+  whose labels run far past 64 bits, and in mode "first" on F_{1,11} and
+  F_{2,10}, whose witnesses take 69 and 107 nodes, so the row shows what
+  returning one kept leaf costs (``SEARCH_RUNS``).  A row whose first call
+  takes under ``SHORT_S`` is called ``REPEATS`` times and reports the
+  fastest, so a row of a few milliseconds is not split by the host's swing
+  between one call and the next;
 - order: one ``_search.completion_order`` call on each of ``ORDER_GRAPHS``,
   fans large enough that the edge order alone takes measurable time;
 - startup: the wall time of a whole child interpreter per command of
@@ -88,13 +90,15 @@ SEARCH_GRAPHS = (("F_1_5", "fan", (1, 5)), ("F_1_6", "fan", (1, 6)), ("F_2_4", "
 # one row per (graph, mode, limit): modes "count" and "first" on each graph,
 # then mode "all" on two fans whose leaves stand for many labelings and on
 # K_17, whose one leaf is cut at its second labeling, then mode "first" on
-# deep trees
+# deep trees and on two fans whose witness is a shallow search's one leaf
 SEARCH_RUNS = ([(graph, mode, None) for graph in SEARCH_GRAPHS for mode in ("count", "first")]
                + [(("F_2_5", "fan", (2, 5)), "all", 1000), (("F_1_11", "fan", (1, 11)), "all", 1000),
                   (("K_17", "complete", (17,)), "all", 2),
                   (("F_4_52", "fan", (4, 52)), "first", None),
                   (("F_6_37", "fan", (6, 37)), "first", None),
-                  (("P_801", "path", (801,)), "first", None)])
+                  (("P_801", "path", (801,)), "first", None),
+                  (("F_1_11", "fan", (1, 11)), "first", None),
+                  (("F_2_10", "fan", (2, 10)), "first", None)])
 ORDER_GRAPHS = (("F_3_309", "fan", (3, 309)), ("F_4_836", "fan", (4, 836)))
 STARTUP_ROUNDS = 25  # child processes per side and command
 STARTUP_COMMANDS = (

@@ -21,15 +21,17 @@ and share the leaf's residues.  With ``q = k*p + r`` that weight is
 ``(k+1)!**r * k!**(p-r)``.  Every mode adds the weight per leaf and stops
 once the sum reaches its limit; modes "first" and "all" also keep the leaf,
 and after the recursion return the first that many labelings of the kept
-leaves.  A kept leaf is expanded lazily, so a
-limit builds only the labelings it returns: a recursive generator walks the
-classes that hold two or more labels in residue order, and each level runs
+leaves.  Each call writes its label at its edge, so a kept leaf is a tuple
+in ``graph.edges`` order, already a labeling, and it is its own first
+labeling.  So mode "first" returns the first leaf as it is, building
+nothing more: of all valid labelings, the one whose labels read in search
+order are smallest.  The rest of a leaf's labelings are built lazily, so a
+limit builds only those it returns: a recursive generator walks the classes
+that hold two or more labels in residue order, and each level runs
 ``itertools.permutations`` over its class's edges, giving them the class's
 labels in ascending order.  The first class varies slowest, as in
-``itertools.product``, and every level yields its identity first, so each
-leaf's own labeling comes first.  So mode "first" returns the first leaf:
-of all valid labelings, the one whose labels read in search order are
-smallest.
+``itertools.product``, and every level yields its identity first, so the
+walk starts at the leaf itself, which is skipped.
 
 A vertex's residue is finalized the moment its last incident edge gets a
 label.  Before a label is placed, the residues it would finalize are checked;
@@ -66,10 +68,13 @@ class is the only one with a candidate, so the penultimate frame reads it as
 the one set bit of the ``avail`` it would pass down.  A leaf makes no call, so
 the deepest frame is a ``place`` frame and ``STACK_MARGIN`` is exactly the
 frames left to the caller.  The expansion runs after the recursion has
-returned and nests one generator frame per class of two or more labels,
-plus one.  There are at most min(p, q - p) <= q/2 such classes, and none
-unless q > p, which a simple graph allows only from q = 5 on; so the
-expansion never goes deeper than the q - 1 ``place`` frames before it.
+returned and nests the frame of ``leaf_labelings`` and one ``expand`` frame
+per class of two or more labels, plus one.  There are none unless q > p,
+and then at most min(p, q - p), so at most min(p, q - p) + 2 frames.  A
+simple graph on at most 3 vertices has at most 3 edges, so q > p means
+p >= 4, and min(p, q - p) + 2 <= q - p + 2 <= q - 2: the expansion stays
+below the q - 1 ``place`` frames before it.  With q <= p it nests two
+frames, within ``STACK_MARGIN``.
 A graph that ``search`` does not answer by rule first is refused with one
 ValueError, instead of overflowing, when it has more edges than the
 interpreter's recursion limit less ``STACK_MARGIN`` or when a caller deeper
@@ -227,7 +232,6 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
         raise _too_deep(q)
 
     steps = completion_order(graph)
-    order = [i for i, _, _ in steps]
 
     # labelings each leaf stands for: rem classes hold k+1 labels, p-rem hold k
     k, rem = divmod(q, p)
@@ -245,16 +249,16 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
         orbit = edge_orbits(graph)
         orbit_size = Counter(orbit)
         rep_pos: dict[int, int] = {}
-        for pos, i in enumerate(order):
+        for pos, (i, _, _) in enumerate(steps):
             rep_pos.setdefault(orbit[i], pos)
         reps = set(rep_pos.values())
         forced_pos = max(reps)
         masks = [-1 if pos in reps else ~(1 << sym_label - 1) for pos in range(q)]
-        orbit_size_at = [orbit_size[orbit[i]] for i in order]
-    # per position: the edge, whether it completes u and v, the labels it may take
-    plan = [(*graph.edges[i], u_done, v_done, masks[pos])
+        orbit_size_at = [orbit_size[o] for o in orbit]  # per edge
+    # per position: the edge, its ends, whether it completes them, the labels it may take
+    plan = [(i, *graph.edges[i], u_done, v_done, masks[pos])
             for pos, (i, u_done, v_done) in enumerate(steps)]
-    a, b = graph.edges[order[-1]]  # the last edge, checked at position q - 2
+    last, a, b = plan[-1][:3]  # the last edge, checked at position q - 2
     penult = q - 2
 
     # per label x, the bits that swap it for the next label of its class (x's alone if none)
@@ -262,36 +266,42 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     sums = [0] * p
     residue_taken = [False] * p
     residue_taken[0] = bool(isolated)
-    level_label = [0] * q
+    labels = [0] * q  # per edge, the label on the current path
     leaves: list[tuple[int, ...]] = []  # modes "first" and "all": every leaf reached
     count = 0
     nodes = 0
     stopped = False
 
     def leaf_labelings(leaf: tuple[int, ...]):
-        """A kept leaf's labelings, built one at a time: its own first."""
-        labels = [0] * q
-        classes: list[list[int]] = [[] for _ in range(p)]  # edges per class, in level order
-        for i, lab in zip(order, leaf):
-            labels[i] = lab
-            classes[lab % p].append(i)
-        # the classes that can move, each with its labels, which ascend in level order
-        return expand(labels, [(c, [labels[i] for i in c]) for c in classes if len(c) > 1], 0)
+        """A kept leaf's labelings, one at a time: the leaf itself first.
 
-    def expand(labels: list[int], moves: list[tuple[list[int], list[int]]], level: int):
+        The leaf is already a labeling in edge order, so it is yielded before
+        anything is built.  Only a request for a second labeling builds the
+        edges of each class, in level order, and runs ``expand`` on a copy,
+        skipping its identity, which is the leaf.
+        """
+        yield leaf
+        classes: list[list[int]] = [[] for _ in range(p)]  # edges per class, in level order
+        for i, _, _ in steps:
+            classes[leaf[i] % p].append(i)
+        # the classes that can move, each with its labels, which ascend in level order
+        moves = [(c, [leaf[i] for i in c]) for c in classes if len(c) > 1]
+        yield from itertools.islice(expand(list(leaf), moves, 0), 1, None)
+
+    def expand(labeling: list[int], moves: list[tuple[list[int], list[int]]], level: int):
         """Every within-class permutation from ``level`` on, the first class slowest."""
         if level == len(moves):
-            yield tuple(labels)
+            yield tuple(labeling)
             return
         edges, ascending = moves[level]
         for perm in itertools.permutations(edges):  # the identity first
             for i, lab in zip(perm, ascending):
-                labels[i] = lab
-            yield from expand(labels, moves, level + 1)
+                labeling[i] = lab
+            yield from expand(labeling, moves, level + 1)
 
     def place(pos: int, avail: int) -> None:
         nonlocal nodes, count, stopped
-        u, v, cu, cv, mask = plan[pos]
+        i, u, v, cu, cv, mask = plan[pos]
         su, sv = sums[u], sums[v]
         if pos == forced_pos and avail >> sym_label - 1 & 1:
             mask = 1 << sym_label - 1  # the last representative: nowhere else is left
@@ -310,7 +320,7 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
                 rv = (sv + lab) % p
                 if residue_taken[rv] or (cu and rv == ru):
                     continue
-            level_label[pos] = lab
+            labels[i] = lab
             sums[u] = su + lab
             sums[v] = sv + lab
             if cu:
@@ -330,11 +340,11 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
                 rb = (sums[b] + x) % p
                 if ra != rb and not residue_taken[ra] and not residue_taken[rb]:
                     # the leaf: its weight, times the orbit holding sym_label
-                    level_label[q - 1] = x
-                    count += (weight * orbit_size_at[level_label.index(sym_label)]
+                    labels[last] = x
+                    count += (weight * orbit_size_at[labels.index(sym_label)]
                               if sym_label else weight)
                     if collect:
-                        leaves.append(tuple(level_label))
+                        leaves.append(tuple(labels))
                     if target is not None and count >= target:
                         count = target
                         stopped = True

@@ -11,12 +11,14 @@ Subcommands compose through JSON documents on stdin/stdout:
 
 Exit codes: 0 success or positive verdict, 1 definitive negative verdict,
 2 malformed input, violated restriction, closed output pipe or a closed
-standard input or output.
+standard input or output.  A process started with stderr closed drops its
+diagnostics; stdout still gets only documents.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -317,6 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stderr is None:
+        # started with stderr closed: drop diagnostics, since print and
+        # argparse's usage would otherwise fall back to stdout
+        sys.stderr = io.StringIO()
     args = build_parser().parse_args(argv)
     if sys.stdout is None:
         # started with stdout closed: nothing can be written, as with a closed pipe

@@ -26,9 +26,14 @@ junk_values = st.recursive(
 
 
 def src_env() -> dict[str, str]:
-    """The current environment with the package source first on PYTHONPATH."""
+    """The current environment with the package source first on PYTHONPATH.
+
+    ``PYTHONWARNINGS=error`` makes a child interpreter fail on any warning,
+    as the in-process suite does through pytest's ``filterwarnings``.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONWARNINGS"] = "error"
     return env
 
 

@@ -572,14 +572,22 @@ class TestPipeline:
         assert code == 2
         assert capsys.readouterr() == ("", "")
 
-    @pytest.mark.parametrize("argv, fd", [(["lo"], 0), (["search", "-"], 0),
-                                          (["lo", "--p", "12", "--q", "21"], 1)],
-                             ids=["lo-stdin", "search-stdin", "lo-stdout"])
-    def test_closed_standard_stream_exits_2_without_traceback(self, argv, fd):
-        # as `lo <&-`, `search - <&-` and `lo --p 12 --q 21 >&-` in a shell
-        proc = subprocess.run(CLI + argv, env=src_env(), capture_output=True, text=True,
-                              timeout=60, preexec_fn=lambda: os.close(fd))
-        assert proc.returncode == 2
+    @pytest.mark.parametrize(
+        "argv, fd, doc, code, out",
+        [(["lo"], 0, None, 2, ""), (["search", "-"], 0, None, 2, ""),
+         (["lo", "--p", "12", "--q", "21"], 1, None, 2, ""),
+         (["lo", "-"], 2, '{"nope": 1}', 2, ""),
+         (["search", "-", "--mode", "count"], 2, '{"p": 2, "edges": []}', 1, "solutions = 0\n"),
+         (["lo", "--p", "x"], 2, None, 2, "")],
+        ids=["lo-stdin", "search-stdin", "lo-stdout", "lo-stderr-error", "search-stderr-warning",
+             "lo-stderr-usage"])
+    def test_closed_standard_stream_exits_2_without_traceback(self, argv, fd, doc, code, out):
+        # as `lo <&-`, `search - <&-`, `lo --p 12 --q 21 >&-` and `... 2>&-` in a
+        # shell; with stderr closed the error, the warning and the usage are
+        # dropped, not written to stdout, and the exit code is kept
+        proc = subprocess.run(CLI + argv, env=src_env(), input=doc, capture_output=True,
+                              text=True, timeout=60, preexec_fn=lambda: os.close(fd))
+        assert (proc.returncode, proc.stdout) == (code, out)
         assert proc.stderr == ("error: standard input is closed\n" if fd == 0 else "")
 
     @pytest.mark.parametrize("n, head", [(200_000, 10), (3, 0)],

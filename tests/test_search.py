@@ -383,6 +383,18 @@ class TestLeafRule:
         assert len(out.solutions) == out.solution_count == 2
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize("g", [fan(1, 11), fan(2, 10)], ids=["fan1_11", "fan2_10"])
+    def test_first_mode_never_permutes(self, g, monkeypatch):
+        # a kept leaf is already its own first labeling, so mode "first"
+        # returns it without building any class's permutations
+        def no_permutations(*args):
+            raise AssertionError("mode 'first' permuted a class")
+
+        monkeypatch.setattr(_search.itertools, "permutations", no_permutations)
+        out = search(g)
+        assert out.solution_count == 1 and len(out.solutions) == 1
+        assert verify(out.solutions[0]).edge_graceful
+
 
 class TestSymmetryBreaking:
     """Count mode puts a label that is alone in its residue class on one edge
