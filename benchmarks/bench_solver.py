@@ -21,7 +21,9 @@ times four layers with ``time.perf_counter``:
   F_{m,n} block and each random |N| decade and kind, gives each side's
   median over the cell's equations;
 - search: ``search`` in modes "count" and "first" on ``SEARCH_GRAPHS``,
-  where mode "first" is exhaustive on the graphs that have no labeling, and
+  where mode "first" is exhaustive on the graphs that have no labeling (C_8
+  holds the median task of perfbench ``refute``, and P_11, with odd p, is a
+  tree that count mode's multiplier rule leaves alone), and
   in mode "all" with ``limit=1000`` on F_{2,5} and F_{1,11}, whose leaves
   each stand for 128 and 512 labelings, so the call builds the labelings
   of several leaves, with ``limit=2`` on K_17, whose leaf stands for
@@ -85,8 +87,8 @@ ROUNDS = 6  # child processes per side
 REPEATS = 5  # calls per equation per child, and per short search row
 SHORT_S = 0.05  # a search row whose first call is faster is timed over REPEATS calls
 SEARCH_GRAPHS = (("F_1_5", "fan", (1, 5)), ("F_1_6", "fan", (1, 6)), ("F_2_4", "fan", (2, 4)),
-                 ("C_9", "cycle", (9,)), ("C_11", "cycle", (11,)), ("P_10", "path", (10,)),
-                 ("K_5", "complete", (5,)))
+                 ("C_8", "cycle", (8,)), ("C_9", "cycle", (9,)), ("C_11", "cycle", (11,)),
+                 ("P_10", "path", (10,)), ("P_11", "path", (11,)), ("K_5", "complete", (5,)))
 # one row per (graph, mode, limit): modes "count" and "first" on each graph,
 # then mode "all" on two fans whose leaves stand for many labelings and on
 # K_17, whose one leaf is cut at its second labeling, then mode "first" on

@@ -46,17 +46,37 @@ the other however the input lists its edges.  ``nodes_expanded``
 counts the labels tried in the class tree, the rejected ones included, not
 labelings.
 
-Mode "count" also breaks the graph's symmetry when q < 2p.  Then the label
-L = max(q - p, 0) + 1 is the only one in its residue class, so no
-within-class permutation moves it, and an automorphism that maps edge e to
-e' maps the labelings with L on e one-to-one onto those with L on e'.  The
-search puts L only on the first-placed edge of each orbit that
+Mode "count" also breaks two symmetries.  Multiplying every label's
+residue by a unit a mod p multiplies every vertex residue by a, so distinct
+residues stay distinct.  When q = kp or kp + p - 1 it also keeps every
+class's size, so it maps the leaves of the class tree one-to-one onto leaves
+of the same weight.  The residues every unit fixes are 0 and, for even p,
+p/2; any other residue r lies in a unit orbit of phi(p/g) residues, g =
+gcd(r, p), and the leaves whose first label in search order off a
+unit-fixed residue has residue r are as many for every r of that orbit.  So
+the multiplier rule lets that label be only a divisor g of p, which is the
+label g, and weights the leaf by phi(p/g).  It can come no later than one
+past the number of unit-fixed labels, so only the positions up to there
+read the path to find their labels.  For even p every graph the rule
+applies to fails Lo's condition, since q(q + 1) = 0 and p(p - 1)/2 = p/2
+mod p: there the rule only shortens refutations.
+
+The orbit rule applies when q < 2p.  A label L alone in its residue class
+is moved by no within-class permutation, so an automorphism that maps edge e
+to e' maps the labelings with L on e one-to-one onto those with L on e'.
+The search puts L only on the first-placed edge of each orbit that
 ``edge_orbits`` reports, forces it onto the last such edge if it is still
 unused there, and weights each leaf by the size of the orbit that holds L.
-In mode "count", ``nodes_expanded`` therefore counts placements in the class
-tree after symmetry reduction.  Modes "first" and "all" search the plain
-class tree, so their witnesses, their order and their node counts do not
-depend on the graph's automorphisms.
+With the multiplier rule, L must sit on a residue that every unit fixes, so
+that multiplying keeps it in place: L = p when p <= q < 2p and L = p/2 when
+q = p - 1 and p is even.  A graph with q = p - 1 and odd p has no such label,
+so it gets the orbit rule alone, as does every graph with q < 2p outside
+the multiplier rule, with L = max(q - p, 0) + 1.  When q >= 2p only the
+multiplier rule can apply.  In mode "count", ``nodes_expanded`` therefore
+counts placements in the class tree after symmetry reduction.  Modes
+"first" and "all" search the plain class tree, so their witnesses, their
+order and their node counts do not depend on the graph's automorphisms or
+on the multiplier rule.
 
 Everything is deterministic: labels are tried in increasing order and the
 edge order is fixed up front, so repeated runs give identical outcomes,
@@ -87,7 +107,7 @@ import itertools
 import sys
 from collections import Counter
 from heapq import heapify, heappop, heappush
-from math import factorial
+from math import factorial, gcd
 
 from .graphs import Graph, Record, require_int, shown
 from .labeling import EdgeLabeling, verify
@@ -120,7 +140,9 @@ class SearchOptions(Record):
 class SearchOutcome(Record):
     """Result of a search run.
 
-    ``nodes_expanded`` counts the search nodes the run expanded.
+    ``nodes_expanded`` counts the search nodes the run expanded; in mode
+    "count" that is the class tree left after the orbit and multiplier rules
+    (module docstring), and modes "first" and "all" search the plain tree.
     ``exhausted`` is true iff the whole assignment space was covered, i.e.
     the run was not cut short by mode "first" or by ``limit``.
     ``solution_count`` equals len(solutions) except in mode "count", where
@@ -237,26 +259,66 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     k, rem = divmod(q, p)
     weight = factorial(k + 1) ** rem * factorial(k) ** (p - rem)
 
-    sym_label, forced_pos, orbit_size_at = 0, -1, []  # 0: no symmetry breaking
     masks = [-1] * q  # per position, the labels it may take (label l is bit l - 1): all
-    if not collect and q < 2 * p:
-        # symmetry breaking (module docstring): sym_label, alone in its class,
-        # goes on each orbit's first-placed edge only; the orbit search is
-        # loaded here, so modes "first" and "all" never compile it
+    varies: set[int] = set()  # the positions whose labels depend on the path
+    leaf_weight = path_mask = None  # None: no symmetry breaking
+    # the multiplier rule (module docstring): x -> a*x, for a unit a mod p, keeps
+    # every class's size when q = kp or kp + p - 1; with q = p - 1 the orbit
+    # rule's label must be p/2, so p must be even
+    multiply = not collect and (rem == 0 or rem == p - 1 and (k or p % 2 == 0))
+    if not collect and (q < 2 * p or multiply):
+        # symmetry breaking (module docstring); the orbit search is loaded
+        # here, so modes "first" and "all" never compile it
         from ._orbits import edge_orbits
 
-        sym_label = max(q - p, 0) + 1
-        orbit = edge_orbits(graph)
-        orbit_size = Counter(orbit)
-        rep_pos: dict[int, int] = {}
-        for pos, (i, _, _) in enumerate(steps):
-            rep_pos.setdefault(orbit[i], pos)
-        reps = set(rep_pos.values())
-        forced_pos = max(reps)
-        masks = [-1 if pos in reps else ~(1 << sym_label - 1) for pos in range(q)]
-        orbit_size_at = [orbit_size[o] for o in orbit]  # per edge
-    # per position: the edge, its ends, whether it completes them, the labels it may take
-    plan = [(i, *graph.edges[i], u_done, v_done, masks[pos])
+        sym_label, forced_pos, orbit_size_at = 0, -1, []  # the orbit rule, off
+        unmoved, allowed, head_edges, unit_orbit = 0, -1, [], []  # the multiplier rule, off
+        if multiply:
+            # per residue, the size of its unit orbit: the residues sharing its gcd with p
+            by_gcd = Counter(gcd(r, p) for r in range(p))
+            unit_orbit = [by_gcd[gcd(r, p)] for r in range(p)]
+            fixed = [unit_orbit[x % p] == 1 for x in range(q + 1)]  # per label: 0 or p/2
+            # the first labels of the moved classes, all in avail until one is placed;
+            # until then a position takes a unit-fixed label or a divisor g of p
+            unmoved = sum(1 << r - 1 for r in range(1, p) if not fixed[r])
+            allowed = sum(1 << x - 1 for x in range(1, q + 1) if fixed[x] or p % x == 0)
+            head = sum(fixed[1:])  # unit-fixed labels, all that can precede the first moved one
+            head_edges = [i for i, _, _ in steps[:head + 1]]
+            varies.update(range(head + 1))
+        if q < 2 * p:
+            # sym_label, alone in its class, goes on each orbit's first-placed
+            # edge only; with the multiplier rule its class is one every unit fixes
+            sym_label = (p if q >= p else p // 2) if multiply else max(q - p, 0) + 1
+            orbit = edge_orbits(graph)
+            orbit_size = Counter(orbit)
+            rep_pos: dict[int, int] = {}
+            for pos, (i, _, _) in enumerate(steps):
+                rep_pos.setdefault(orbit[i], pos)
+            reps = set(rep_pos.values())
+            forced_pos = max(reps)
+            varies.add(forced_pos)
+            masks = [-1 if pos in reps else ~(1 << sym_label - 1) for pos in range(q)]
+            orbit_size_at = [orbit_size[o] for o in orbit]  # per edge
+
+        def path_mask(pos: int, avail: int) -> int:
+            """The labels a position in ``varies`` may take on this path."""
+            if pos == forced_pos and avail >> sym_label - 1 & 1:
+                return 1 << sym_label - 1  # the last representative: nowhere else is left
+            if avail & unmoved == unmoved:  # no label is off a unit-fixed residue yet
+                return masks[pos] & allowed
+            return masks[pos]
+
+        def leaf_weight() -> int:
+            """The leaf's weight, times the orbit that holds sym_label and the
+            unit orbit of the first label off a unit-fixed residue."""
+            w = weight * orbit_size_at[labels.index(sym_label)] if sym_label else weight
+            for i in head_edges:
+                if unit_orbit[labels[i] % p] > 1:
+                    return w * unit_orbit[labels[i] % p]
+            return w
+    # per position: the edge, its ends, whether it completes them, and the
+    # labels it may take, or None if path_mask decides them
+    plan = [(i, *graph.edges[i], u_done, v_done, None if pos in varies else masks[pos])
             for pos, (i, u_done, v_done) in enumerate(steps)]
     last, a, b = plan[-1][:3]  # the last edge, checked at position q - 2
     penult = q - 2
@@ -303,8 +365,8 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
         nonlocal nodes, count, stopped
         i, u, v, cu, cv, mask = plan[pos]
         su, sv = sums[u], sums[v]
-        if pos == forced_pos and avail >> sym_label - 1 & 1:
-            mask = 1 << sym_label - 1  # the last representative: nowhere else is left
+        if mask is None:
+            mask = path_mask(pos, avail)
         cand = avail & mask
         while cand:
             left = cand & cand - 1  # cand without its lowest bit, the smallest label
@@ -339,10 +401,9 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
                 ra = (sums[a] + x) % p
                 rb = (sums[b] + x) % p
                 if ra != rb and not residue_taken[ra] and not residue_taken[rb]:
-                    # the leaf: its weight, times the orbit holding sym_label
+                    # the leaf: its weight, or leaf_weight's when symmetry is broken
                     labels[last] = x
-                    count += (weight * orbit_size_at[labels.index(sym_label)]
-                              if sym_label else weight)
+                    count += leaf_weight() if leaf_weight else weight
                     if collect:
                         leaves.append(tuple(labels))
                     if target is not None and count >= target:

@@ -50,12 +50,15 @@ PINNED_WITNESSES = [
 PINNED_NODES = [(3, 15), (5, 152), (69, 69), (23, 34), (9, 10973), (8, 10972)]
 
 # (solution_count, nodes_expanded) in mode "count" of the perfbench refute
-# families, unshuffled; the node counts pin the symmetry-reduced class tree
+# families, unshuffled; the node counts pin the symmetry-reduced class tree.
+# The cycles and the even paths have q = p or p - 1, so their trees were
+# recorded from the kernel that also applies the multiplier rule; the fans
+# and P_9 keep the trees of the orbit rule alone
 PINNED_COUNT_TREES = [
     (fan(1, 3), 32, 68), (fan(1, 4), 0, 1_498), (fan(1, 5), 0, 35_154),
     (fan(2, 2), 32, 76), (fan(2, 3), 0, 2_567),
-    (cycle(7), 336, 889), (cycle(8), 0, 3_948), (cycle(9), 3_240, 19_817),
-    (path(8), 0, 2_331), (path(9), 360, 10_116), (path(10), 0, 58_518),
+    (cycle(7), 336, 149), (cycle(8), 0, 1_360), (cycle(9), 3_240, 4_953),
+    (path(8), 0, 825), (path(9), 360, 10_116), (path(10), 0, 14_610),
 ]
 
 
@@ -87,7 +90,8 @@ PINNED_DEEP_FIRST = [
 ]
 
 # K_5 has q = 2p, so no label is alone in its residue class; 787 200 is the
-# count of the 10! permutation scan, 235 470 the class tree's size
+# count of the 10! permutation scan, 235 470 the plain class tree's size and
+# 58 869 the size left by the multiplier rule
 K5 = complete(5)
 
 
@@ -402,7 +406,7 @@ class TestSymmetryBreaking:
 
     def test_count_without_a_class_unique_label(self):
         out = search(K5, SearchOptions(mode="count"))
-        assert (out.solution_count, out.nodes_expanded) == (787_200, 235_470)
+        assert (out.solution_count, out.nodes_expanded) == (787_200, 58_869)
         assert out.exhausted
 
     @pytest.mark.parametrize("g, count, nodes", PINNED_COUNT_TREES)
@@ -427,6 +431,65 @@ class TestSymmetryBreaking:
         monkeypatch.setattr(_orbits, "ORBIT_WORK_LIMIT", 0)
         for g in (cycle(7), fan(1, 3), fan(2, 3), path(6)):
             assert search(g, SearchOptions(mode="count")).solution_count == count_graceful_oracle(g)
+
+
+def multiplier_corpus(n: int = 60) -> list[Graph]:
+    """Seeded random graphs with q = 0 or -1 mod p, 2 <= q <= 8, a fifth of
+    them with one isolated vertex added."""
+    rng = random.Random(29)
+    graphs = []
+    while len(graphs) < n:
+        g = random_simple_graph(rng, max_p=9, max_q=8)
+        if len(graphs) % 5 == 0:
+            g = Graph(g.p + 1, g.edges)
+        if g.q >= 2 and g.q % g.p in (0, g.p - 1):
+            graphs.append(g)
+    return graphs
+
+
+class TestMultiplierSymmetry:
+    """When q = 0 or -1 mod p, count mode lets the first label off a residue
+    that every unit fixes take one residue per unit orbit, and weights the
+    leaf by that orbit's size."""
+
+    def test_count_matches_permutation_oracle(self):
+        graphs = multiplier_corpus()
+        # q = p and q = p - 1, odd and even p, with and without an isolated vertex
+        kinds = {(g.q == g.p, g.p % 2, len({w for e in g.edges for w in e}) < g.p)
+                 for g in graphs}
+        assert len(kinds) == 8
+        rng = random.Random(2029)
+        for g in graphs:
+            expected = count_graceful_oracle(g)
+            for h in (g, shuffled_copy(g, rng)):
+                out = search(h, SearchOptions(mode="count"))
+                assert (out.solution_count, out.exhausted) == (expected, True), g
+
+    @pytest.mark.parametrize("g, expected", [
+        (K5, 787_200), (cycle(9), 3_240),
+        *[(Graph(5, random.Random(seed).sample(K5.edges, 9)), 78_720) for seed in range(3)],
+    ], ids=["K5", "cycle9", "K5-e-0", "K5-e-1", "K5-e-2"])
+    def test_count_matches_all_mode(self, g, expected, monkeypatch):
+        # mode "all" sums the plain class tree's weights; its labelings are
+        # not read here, so they are not built as records
+        monkeypatch.setattr(_search, "EdgeLabeling", lambda graph, labels: None)
+        assert search(g, SearchOptions(mode="all")).solution_count == expected
+        assert search(g, SearchOptions(mode="count")).solution_count == expected
+
+    @pytest.mark.parametrize("g, limit", [(cycle(7), 50), (cycle(9), 100), (K5, 1_000)],
+                             ids=["cycle7", "cycle9", "K5"])
+    def test_count_limit_clamps(self, g, limit):
+        # a leaf of C_7 stands for 7 edges times 6 unit multiples: 42 labelings
+        out = search(g, SearchOptions(mode="count", limit=limit))
+        assert (out.solution_count, out.exhausted) == (limit, False)
+
+    def test_even_p_fails_lo_whenever_the_rule_applies(self):
+        # q(q + 1) = 0 and p(p - 1)/2 = p/2 mod p, so the p/2 marker that
+        # q = p - 1 uses for even p only ever prunes refutations
+        for p in range(2, 61, 2):
+            for q in range(1, p * (p - 1) // 2 + 1):
+                if q % p in (0, p - 1):
+                    assert not lo_check(p, q).divides, (p, q)
 
 
 class TestDegenerateInputs:
