@@ -30,12 +30,17 @@ times four layers with ``time.perf_counter``:
   8!**17 labelings, so the call times how much of one leaf's expansion
   two labelings cost, in mode "first" on F_{4,52}, F_{6,37} and P_801,
   deep trees (q = 259, 258 and 800, the last at the default depth guard)
-  whose labels run far past 64 bits, and in mode "first" on F_{1,11} and
-  F_{2,10}, whose witnesses take 69 and 107 nodes, so the row shows what
-  returning one kept leaf costs (``SEARCH_RUNS``).  A row whose first call
-  takes under ``SHORT_S`` is called ``REPEATS`` times and reports the
-  fastest, so a row of a few milliseconds is not split by the host's swing
-  between one call and the next;
+  whose labels run far past 64 bits (``DEEP_GRAPHS``), and in mode "first"
+  on F_{1,11} and F_{2,10}, whose witnesses take 69 and 107 nodes, so the
+  row shows what returning one kept leaf costs (``SEARCH_RUNS``).  A row
+  whose first call takes under ``SHORT_S`` is called ``REPEATS`` times, so
+  a row of a few milliseconds is not split by the host's swing between one
+  call and the next.  A deep row is called once under each number of extra
+  caller frames in ``CALLER_DEPTHS``: the recursion's time on a deep tree
+  depends on where its frames fall on the interpreter's stack chunks, and
+  so on the caller's depth (190-635 ms on F_{4,52} on CPython 3.11).  Each
+  row reports its fastest call (``search_s``) and its slowest
+  (``search_slowest_s``);
 - order: one ``_search.completion_order`` call on each of ``ORDER_GRAPHS``,
   fans large enough that the edge order alone takes measurable time;
 - startup: the wall time of a whole child interpreter per command of
@@ -86,6 +91,8 @@ EXPECTED = ROOT / "perfbench" / "expected.json"
 ROUNDS = 6  # child processes per side
 REPEATS = 5  # calls per equation per child, and per short search row
 SHORT_S = 0.05  # a search row whose first call is faster is timed over REPEATS calls
+DEEP_GRAPHS = (("F_4_52", "fan", (4, 52)), ("F_6_37", "fan", (6, 37)), ("P_801", "path", (801,)))
+CALLER_DEPTHS = range(0, 22, 3)  # extra caller frames for each call of a deep row
 SEARCH_GRAPHS = (("F_1_5", "fan", (1, 5)), ("F_1_6", "fan", (1, 6)), ("F_2_4", "fan", (2, 4)),
                  ("C_8", "cycle", (8,)), ("C_9", "cycle", (9,)), ("C_11", "cycle", (11,)),
                  ("P_10", "path", (10,)), ("P_11", "path", (11,)), ("K_5", "complete", (5,)))
@@ -95,11 +102,9 @@ SEARCH_GRAPHS = (("F_1_5", "fan", (1, 5)), ("F_1_6", "fan", (1, 6)), ("F_2_4", "
 # deep trees and on two fans whose witness is a shallow search's one leaf
 SEARCH_RUNS = ([(graph, mode, None) for graph in SEARCH_GRAPHS for mode in ("count", "first")]
                + [(("F_2_5", "fan", (2, 5)), "all", 1000), (("F_1_11", "fan", (1, 11)), "all", 1000),
-                  (("K_17", "complete", (17,)), "all", 2),
-                  (("F_4_52", "fan", (4, 52)), "first", None),
-                  (("F_6_37", "fan", (6, 37)), "first", None),
-                  (("P_801", "path", (801,)), "first", None),
-                  (("F_1_11", "fan", (1, 11)), "first", None),
+                  (("K_17", "complete", (17,)), "all", 2)]
+               + [(graph, "first", None) for graph in DEEP_GRAPHS]
+               + [(("F_1_11", "fan", (1, 11)), "first", None),
                   (("F_2_10", "fan", (2, 10)), "first", None)])
 ORDER_GRAPHS = (("F_3_309", "fan", (3, 309)), ("F_4_836", "fan", (4, 836)))
 STARTUP_ROUNDS = 25  # child processes per side and command
@@ -115,6 +120,7 @@ STARTUP_COMMANDS = (
 )
 SOLVER_COUNTS = ("rows", "integral_rows", "solutions")
 SEARCH_COUNTS = ("solution_count", "nodes_expanded", "exhausted", "witness", "solutions_sha256")
+SEARCH_METRICS = ("search_s", "search_slowest_s")
 ORDER_COUNTS = ("q", "steps_sha256")
 
 
@@ -133,19 +139,33 @@ def search_graph(eg, family: str, args):
     return getattr(eg, family)(*args)
 
 
+def timed_search(eg, graph, options, depth: int):
+    """One search call under ``depth`` extra caller frames: its time (s) and outcome."""
+    if depth:
+        return timed_search(eg, graph, options, depth - 1)
+    t0 = time.perf_counter()
+    result = eg.search(graph, options)
+    return time.perf_counter() - t0, result
+
+
 def time_search(eg) -> list[dict]:
-    """Per graph, mode and limit, the time (s) of one call, or the fastest of
-    REPEATS when the first takes under SHORT_S, the counts, the witness and a
+    """Per graph, mode and limit, the fastest and the slowest time (s) of its
+    calls: one per caller depth of CALLER_DEPTHS on a deep row, else one, or
+    REPEATS when the first takes under SHORT_S; the counts, the witness and a
     digest of every returned labeling in order."""
     out = []
-    for (name, family, args), mode, limit in SEARCH_RUNS:
+    for spec, mode, limit in SEARCH_RUNS:
+        name, family, args = spec
         graph = search_graph(eg, family, args)
-        elapsed, calls = float("inf"), 0
-        while calls < (REPEATS if elapsed < SHORT_S else 1):
-            t0 = time.perf_counter()
-            result = eg.search(graph, eg.SearchOptions(mode=mode, limit=limit))
-            elapsed = min(elapsed, time.perf_counter() - t0)
-            calls += 1
+        options = eg.SearchOptions(mode=mode, limit=limit)
+        if spec in DEEP_GRAPHS:
+            calls = [timed_search(eg, graph, options, depth) for depth in CALLER_DEPTHS]
+        else:
+            calls = [timed_search(eg, graph, options, 0)]
+            while calls[0][0] < SHORT_S and len(calls) < REPEATS:
+                calls.append(timed_search(eg, graph, options, 0))
+        times = [elapsed for elapsed, _ in calls]
+        result = calls[-1][1]
         labels = [s.labels for s in result.solutions]
         out.append({
             "graph": name, "mode": mode, "limit": limit,
@@ -153,7 +173,7 @@ def time_search(eg) -> list[dict]:
             "nodes_expanded": result.nodes_expanded, "exhausted": result.exhausted,
             "witness": [list(s) for s in labels[:1]],
             "solutions_sha256": hashlib.sha256(repr(labels).encode()).hexdigest(),
-            "search_s": elapsed,
+            "search_s": min(times), "search_slowest_s": max(times),
         })
     return out
 
@@ -379,7 +399,7 @@ def main() -> int:
     solver_rows, solver_bad = compare(runs, "solver", ("equation", "coeffs"),
                                       SOLVER_COUNTS, solver_metrics)
     search_rows, search_bad = compare(runs, "search", ("graph", "mode", "limit"),
-                                      SEARCH_COUNTS, ("search_s",))
+                                      SEARCH_COUNTS, SEARCH_METRICS)
     order_rows, order_bad = compare(runs, "order", ("graph",), ORDER_COUNTS, ("order_s",))
     record = {
         "what": "integer_solutions, solve_factor_pairs alone and solve_factor_pairs "
@@ -394,15 +414,16 @@ def main() -> int:
         "git_sha_after": f"working tree on {git('rev-parse', 'HEAD')}",
         "method": f"each side in its own child process, {ROUNDS} children per side "
                   f"alternating which goes first; per child, the median of {REPEATS} "
-                  f"calls per equation, the fastest of {REPEATS} calls per search row "
-                  f"whose first call takes under {SHORT_S} s and else of 1, and 1 call "
-                  "per order; "
+                  f"calls per equation; per search row the fastest and the slowest of "
+                  f"one call under each of {list(CALLER_DEPTHS)} extra caller frames on "
+                  f"the deep rows, of {REPEATS} calls on a row whose first call takes "
+                  f"under {SHORT_S} s, and else of 1; and 1 call per order; "
                   "per row and per total, the median and quartiles over the children "
                   "(a total sums one child's rows); seconds; start-up: "
                   f"{STARTUP_ROUNDS} children per side and command, alternating which "
                   "side goes first, median and quartiles in ms",
         "solver_totals_s": totals(runs, "solver", solver_metrics),
-        "search_totals_s": totals(runs, "search", ("search_s",)),
+        "search_totals_s": totals(runs, "search", SEARCH_METRICS),
         "order_totals_s": totals(runs, "order", ("order_s",)),
         "counts_identical": not (solver_bad or search_bad or order_bad or startup_bad),
         "solver_cell_rows": [],

@@ -59,7 +59,9 @@ label g, and weights the leaf by phi(p/g).  It can come no later than one
 past the number of unit-fixed labels, so only the positions up to there
 read the path to find their labels.  For even p every graph the rule
 applies to fails Lo's condition, since q(q + 1) = 0 and p(p - 1)/2 = p/2
-mod p: there the rule only shortens refutations.
+mod p: there the rule only shortens refutations.  Where the rule is off,
+count mode uses the trivial unit group instead: every residue is unit-fixed,
+no label is moved, and no position reads the path for this rule.
 
 The orbit rule applies when q < 2p.  A label L alone in its residue class
 is moved by no within-class permutation, so an automorphism that maps edge e
@@ -72,11 +74,11 @@ that multiplying keeps it in place: L = p when p <= q < 2p and L = p/2 when
 q = p - 1 and p is even.  A graph with q = p - 1 and odd p has no such label,
 so it gets the orbit rule alone, as does every graph with q < 2p outside
 the multiplier rule, with L = max(q - p, 0) + 1.  When q >= 2p only the
-multiplier rule can apply.  In mode "count", ``nodes_expanded`` therefore
-counts placements in the class tree after symmetry reduction.  Modes
-"first" and "all" search the plain class tree, so their witnesses, their
-order and their node counts do not depend on the graph's automorphisms or
-on the multiplier rule.
+multiplier rule can apply, and ``edge_orbits`` is not loaded.  In mode
+"count", ``nodes_expanded`` therefore counts placements in the class tree
+after symmetry reduction.  Modes "first" and "all" search the plain class
+tree, so their witnesses, their order and their node counts do not depend
+on the graph's automorphisms or on the multiplier rule.
 
 Everything is deterministic: labels are tried in increasing order and the
 edge order is fixed up front, so repeated runs give identical outcomes,
@@ -260,48 +262,48 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     weight = factorial(k + 1) ** rem * factorial(k) ** (p - rem)
 
     masks = [-1] * q  # per position, the labels it may take (label l is bit l - 1): all
-    varies: set[int] = set()  # the positions whose labels depend on the path
     leaf_weight = path_mask = None  # None: no symmetry breaking
+    # the positions whose labels path_mask decides: those up to head, which the
+    # multiplier rule reads, and the orbit rule's forced_pos; none by default
+    head = forced_pos = -1
     # the multiplier rule (module docstring): x -> a*x, for a unit a mod p, keeps
     # every class's size when q = kp or kp + p - 1; with q = p - 1 the orbit
     # rule's label must be p/2, so p must be even
     multiply = not collect and (rem == 0 or rem == p - 1 and (k or p % 2 == 0))
     if not collect and (q < 2 * p or multiply):
-        # symmetry breaking (module docstring); the orbit search is loaded
-        # here, so modes "first" and "all" never compile it
-        from ._orbits import edge_orbits
-
-        sym_label, forced_pos, orbit_size_at = 0, -1, []  # the orbit rule, off
-        unmoved, allowed, head_edges, unit_orbit = 0, -1, [], []  # the multiplier rule, off
+        # symmetry breaking (module docstring).  With the orbit rule off no label
+        # is sym_label; with the multiplier rule off the unit group is the trivial
+        # one, so no label is moved, every label is allowed and head stays -1
+        sym_label, unit_orbit = 0, [1] * p  # unit_orbit: per residue, its unit orbit's size
         if multiply:
-            # per residue, the size of its unit orbit: the residues sharing its gcd with p
+            # the residues sharing r's gcd with p form r's unit orbit
             by_gcd = Counter(gcd(r, p) for r in range(p))
             unit_orbit = [by_gcd[gcd(r, p)] for r in range(p)]
-            fixed = [unit_orbit[x % p] == 1 for x in range(q + 1)]  # per label: 0 or p/2
-            # the first labels of the moved classes, all in avail until one is placed;
-            # until then a position takes a unit-fixed label or a divisor g of p
-            unmoved = sum(1 << r - 1 for r in range(1, p) if not fixed[r])
-            allowed = sum(1 << x - 1 for x in range(1, q + 1) if fixed[x] or p % x == 0)
-            head = sum(fixed[1:])  # unit-fixed labels, all that can precede the first moved one
-            head_edges = [i for i, _, _ in steps[:head + 1]]
-            varies.update(range(head + 1))
+            # the unit-fixed labels (on 0 or p/2), all that can precede the first moved one
+            head = sum(unit_orbit[x % p] == 1 for x in range(1, q + 1))
+        # the first labels of the moved classes, all in avail until one is placed;
+        # until then a position takes a unit-fixed label or a divisor g of p
+        unmoved = sum(1 << r - 1 for r in range(1, p) if unit_orbit[r] > 1)
+        allowed = sum(1 << x - 1 for x in range(1, q + 1) if unit_orbit[x % p] == 1 or p % x == 0)
+        head_edges = [i for i, _, _ in steps[:head + 1]]
         if q < 2 * p:
             # sym_label, alone in its class, goes on each orbit's first-placed
-            # edge only; with the multiplier rule its class is one every unit fixes
+            # edge only; with the multiplier rule its class is one every unit fixes.
+            # The orbit search is loaded here, so no other search compiles it
+            from ._orbits import edge_orbits
+
             sym_label = (p if q >= p else p // 2) if multiply else max(q - p, 0) + 1
             orbit = edge_orbits(graph)
             orbit_size = Counter(orbit)
-            rep_pos: dict[int, int] = {}
+            rep_pos: dict[int, int] = {}  # per orbit, the position of its first-placed edge
             for pos, (i, _, _) in enumerate(steps):
                 rep_pos.setdefault(orbit[i], pos)
-            reps = set(rep_pos.values())
-            forced_pos = max(reps)
-            varies.add(forced_pos)
-            masks = [-1 if pos in reps else ~(1 << sym_label - 1) for pos in range(q)]
-            orbit_size_at = [orbit_size[o] for o in orbit]  # per edge
+            forced_pos = max(rep_pos.values())
+            masks = [-1 if rep_pos[orbit[i]] == pos else ~(1 << sym_label - 1)
+                     for pos, (i, _, _) in enumerate(steps)]
 
         def path_mask(pos: int, avail: int) -> int:
-            """The labels a position in ``varies`` may take on this path."""
+            """The labels a position up to ``head``, or ``forced_pos``, may take on this path."""
             if pos == forced_pos and avail >> sym_label - 1 & 1:
                 return 1 << sym_label - 1  # the last representative: nowhere else is left
             if avail & unmoved == unmoved:  # no label is off a unit-fixed residue yet
@@ -311,15 +313,15 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
         def leaf_weight() -> int:
             """The leaf's weight, times the orbit that holds sym_label and the
             unit orbit of the first label off a unit-fixed residue."""
-            w = weight * orbit_size_at[labels.index(sym_label)] if sym_label else weight
+            w = weight * orbit_size[orbit[labels.index(sym_label)]] if sym_label else weight
             for i in head_edges:
                 if unit_orbit[labels[i] % p] > 1:
                     return w * unit_orbit[labels[i] % p]
             return w
     # per position: the edge, its ends, whether it completes them, and the
     # labels it may take, or None if path_mask decides them
-    plan = [(i, *graph.edges[i], u_done, v_done, None if pos in varies else masks[pos])
-            for pos, (i, u_done, v_done) in enumerate(steps)]
+    plan = [(i, *graph.edges[i], u_done, v_done, None if pos <= head or pos == forced_pos
+             else masks[pos]) for pos, (i, u_done, v_done) in enumerate(steps)]
     last, a, b = plan[-1][:3]  # the last edge, checked at position q - 2
     penult = q - 2
 

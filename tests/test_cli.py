@@ -581,7 +581,8 @@ class TestPipeline:
          (["lo", "--p", "x"], 2, None, 2, "")],
         ids=["lo-stdin", "search-stdin", "lo-stdout", "lo-stderr-error", "search-stderr-warning",
              "lo-stderr-usage"])
-    def test_closed_standard_stream_exits_2_without_traceback(self, argv, fd, doc, code, out):
+    def test_closed_standard_stream_keeps_the_exit_code_without_traceback(self, argv, fd, doc,
+                                                                          code, out):
         # as `lo <&-`, `search - <&-`, `lo --p 12 --q 21 >&-` and `... 2>&-` in a
         # shell; with stderr closed the error, the warning and the usage are
         # dropped, not written to stdout, and the exit code is kept

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import subprocess
 import sys
 import tracemalloc
 
@@ -32,6 +33,7 @@ from support import (
     random_simple_graph,
     shuffled_copy,
     small_corpus,
+    src_env,
 )
 
 # mode-"first" witnesses: trying each residue class once per level must find
@@ -431,6 +433,43 @@ class TestSymmetryBreaking:
         monkeypatch.setattr(_orbits, "ORBIT_WORK_LIMIT", 0)
         for g in (cycle(7), fan(1, 3), fan(2, 3), path(6)):
             assert search(g, SearchOptions(mode="count")).solution_count == count_graceful_oracle(g)
+
+    @pytest.mark.parametrize("limit", [1, 5, 50_000])
+    def test_count_without_either_rule_searches_the_plain_tree(self, limit, monkeypatch):
+        # q >= 2p and q mod p is neither 0 nor p - 1: count mode breaks no
+        # symmetry, so it walks mode "all"'s tree and stops at the same leaf.
+        # A leaf stands for 6 912 (q = 19) or 20 736 (q = 20) labelings, so
+        # only the last limit passes leaves; mode "all" builds no records here
+        monkeypatch.setattr(_search, "EdgeLabeling", lambda graph, labels: None)
+        for g in neither_rule_corpus():
+            outcomes = {(out.solution_count, out.nodes_expanded, out.exhausted)
+                        for out in (search(g, SearchOptions(mode=mode, limit=limit))
+                                    for mode in ("count", "all"))}
+            assert len(outcomes) == 1, (g, outcomes)
+
+    def test_only_the_orbit_rule_loads_the_orbit_search(self):
+        # K_5 has q = 2p: the multiplier rule alone, which needs no automorphisms
+        code = ("import sys, edgegraceful as eg\n"
+                "k5 = eg.Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])\n"
+                "count = eg.SearchOptions(mode='count')\n"
+                "assert eg.search(k5, count).solution_count == 787_200\n"
+                "assert 'edgegraceful._orbits' not in sys.modules\n"
+                "assert eg.search(eg.cycle(5), count).solution_count == 20\n"
+                "assert 'edgegraceful._orbits' in sys.modules\n")
+        subprocess.run([sys.executable, "-c", code], env=src_env(), check=True, timeout=60)
+
+
+def neither_rule_corpus(n: int = 6) -> list[Graph]:
+    """Seeded edge-graceful graphs with p = 8 and q = 19 or 20, which pass
+    Lo's condition and have q >= 2p with q mod p neither 0 nor p - 1."""
+    rng = random.Random(30)
+    pairs = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+    graphs = []
+    while len(graphs) < n:
+        g = Graph(8, rng.sample(pairs, 19 + len(graphs) % 2))
+        if search(g).solution_count:
+            graphs.append(g)
+    return graphs
 
 
 def multiplier_corpus(n: int = 60) -> list[Graph]:
