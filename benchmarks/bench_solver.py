@@ -23,7 +23,8 @@ times four layers with ``time.perf_counter``:
 - search: ``search`` in modes "count" and "first" on ``SEARCH_GRAPHS``,
   where mode "first" is exhaustive on the graphs that have no labeling (C_8
   holds the median task of perfbench ``refute``, and P_11, with odd p, is a
-  tree that count mode's multiplier rule leaves alone), and
+  tree that count mode's multiplier rule leaves alone), in mode "count" on
+  the octahedron K_{2,2,2} (p = 6, q = 12, 4-regular), and
   in mode "all" with ``limit=1000`` on F_{2,5} and F_{1,11}, whose leaves
   each stand for 128 and 512 labelings, so the call builds the labelings
   of several leaves, with ``limit=2`` on K_17, whose leaf stands for
@@ -56,7 +57,10 @@ Row, solution and node counts, the first-mode witnesses, a sha256 of each
 search call's whole sequence of returned labelings (so both sides must
 return the same labelings in the same order), the edge orders' steps and
 every start-up command's stdout are deterministic and must agree on both
-sides; the script exits 1 when they do not.
+sides; the script exits 1 when they do not.  Against a revision from before
+count mode's shift rule it exits 1 by design: the K_5 and octahedron count
+rows expand fewer nodes with the rule (58 869 -> 11 775 and
+5 328 684 -> 888 117), and every other field of theirs agrees.
 
 Each ``--records`` pair names two ``perfbench/run.py`` run records of the
 same workload and seed, one per side.  Their ``nodes_expanded_per_task``
@@ -97,10 +101,12 @@ SEARCH_GRAPHS = (("F_1_5", "fan", (1, 5)), ("F_1_6", "fan", (1, 6)), ("F_2_4", "
                  ("C_8", "cycle", (8,)), ("C_9", "cycle", (9,)), ("C_11", "cycle", (11,)),
                  ("P_10", "path", (10,)), ("P_11", "path", (11,)), ("K_5", "complete", (5,)))
 # one row per (graph, mode, limit): modes "count" and "first" on each graph,
-# then mode "all" on two fans whose leaves stand for many labelings and on
-# K_17, whose one leaf is cut at its second labeling, then mode "first" on
-# deep trees and on two fans whose witness is a shallow search's one leaf
+# mode "count" on the octahedron, then mode "all" on two fans whose leaves
+# stand for many labelings and on K_17, whose one leaf is cut at its second
+# labeling, then mode "first" on deep trees and on two fans whose witness is
+# a shallow search's one leaf
 SEARCH_RUNS = ([(graph, mode, None) for graph in SEARCH_GRAPHS for mode in ("count", "first")]
+               + [(("K_2_2_2", "octahedron", ()), "count", None)]
                + [(("F_2_5", "fan", (2, 5)), "all", 1000), (("F_1_11", "fan", (1, 11)), "all", 1000),
                   (("K_17", "complete", (17,)), "all", 2)]
                + [(graph, "first", None) for graph in DEEP_GRAPHS]
@@ -136,6 +142,9 @@ def search_graph(eg, family: str, args):
     if family == "complete":
         (n,) = args
         return eg.Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    if family == "octahedron":  # K_{2,2,2}: K_6 less a perfect matching
+        return eg.Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)
+                            if (u, v) not in ((0, 1), (2, 3), (4, 5))])
     return getattr(eg, family)(*args)
 
 

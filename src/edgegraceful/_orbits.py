@@ -2,8 +2,8 @@
 
 It is a module of its own so that programs which never ask for edge orbits
 do not pay for compiling it: ``search`` imports it only in mode "count" on a
-graph with q < 2p, where the orbit rule applies, and ``edgegraceful.edge_orbits``
-loads it on first access.
+graph with q < 2p that is not 2-regular, where the orbit rule applies, and
+``edgegraceful.edge_orbits`` loads it on first access.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ the other however the input lists its edges.  ``nodes_expanded``
 counts the labels tried in the class tree, the rejected ones included, not
 labelings.
 
-Mode "count" also breaks two symmetries.  Multiplying every label's
+Mode "count" also breaks three symmetries.  Multiplying every label's
 residue by a unit a mod p multiplies every vertex residue by a, so distinct
 residues stay distinct.  When q = kp or kp + p - 1 it also keeps every
 class's size, so it maps the leaves of the class tree one-to-one onto leaves
@@ -63,22 +63,38 @@ mod p: there the rule only shortens refutations.  Where the rule is off,
 count mode uses the trivial unit group instead: every residue is unit-fixed,
 no label is moved, and no position reads the path for this rule.
 
-The orbit rule applies when q < 2p.  A label L alone in its residue class
-is moved by no within-class permutation, so an automorphism that maps edge e
-to e' maps the labelings with L on e one-to-one onto those with L on e'.
-The search puts L only on the first-placed edge of each orbit that
-``edge_orbits`` reports, forces it onto the last such edge if it is still
-unused there, and weights each leaf by the size of the orbit that holds L.
-With the multiplier rule, L must sit on a residue that every unit fixes, so
-that multiplying keeps it in place: L = p when p <= q < 2p and L = p/2 when
-q = p - 1 and p is even.  A graph with q = p - 1 and odd p has no such label,
-so it gets the orbit rule alone, as does every graph with q < 2p outside
-the multiplier rule, with L = max(q - p, 0) + 1.  When q >= 2p only the
-multiplier rule can apply, and ``edge_orbits`` is not loaded.  In mode
-"count", ``nodes_expanded`` therefore counts placements in the class tree
-after symmetry reduction.  Modes "first" and "all" search the plain class
-tree, so their witnesses, their order and their node counts do not depend
-on the graph's automorphisms or on the multiplier rule.
+The shift rule applies when p | q and every vertex has the same degree d.
+Adding t to every label's residue adds t*d to every vertex residue, S_v ->
+S_v + t*d, so distinct residues stay distinct, and since every class holds
+q/p labels it keeps every class's size: it maps leaves one-to-one onto
+leaves of the same weight.  Exactly one of the p shifts gives the
+first-placed edge residue 0, so position 0 takes only the label p and each
+leaf is weighted by p.  With p | q the multiplier rule applies too, and
+the two chain: every unit fixes residue 0, so the units map the leaves with
+residue 0 at position 0 onto each other and the multiplier rule runs on them
+unchanged; together they break the maps x -> a*x + t.  When q = p the graph
+is 2-regular, a union of cycles, and the orbit rule would also put the
+label p first; the shift's factor p is at least the size of any edge orbit,
+so the shift rule replaces the orbit rule there.
+
+The orbit rule applies when q < 2p and the shift rule does not.  A label L
+alone in its residue class is moved by no within-class permutation, so an
+automorphism that maps edge e to e' maps the labelings with L on e
+one-to-one onto those with L on e'.  The search puts L only on the
+first-placed edge of each orbit that ``edge_orbits`` reports, forces it onto
+the last such edge if it is still unused there, and weights each leaf by the
+size of the orbit that holds L.  With the multiplier rule, L must sit on a
+residue that every unit fixes, so that multiplying keeps it in place: L = p
+when p <= q < 2p and L = p/2 when q = p - 1 and p is even.  A graph with
+q = p - 1 and odd p has no such label, so it gets the orbit rule alone, as
+does every graph with q < 2p outside the multiplier rule, with
+L = max(q - p, 0) + 1.  When q >= 2p only the multiplier and shift rules
+can apply, so ``edge_orbits`` is loaded only when q < 2p and the graph is
+not 2-regular.  In mode "count", ``nodes_expanded`` therefore counts
+placements in the class tree after symmetry reduction.  Modes "first" and
+"all" search the plain class tree, so their witnesses, their order and
+their node counts do not depend on the graph's automorphisms or on the
+multiplier and shift rules.
 
 Everything is deterministic: labels are tried in increasing order and the
 edge order is fixed up front, so repeated runs give identical outcomes,
@@ -143,8 +159,8 @@ class SearchOutcome(Record):
     """Result of a search run.
 
     ``nodes_expanded`` counts the search nodes the run expanded; in mode
-    "count" that is the class tree left after the orbit and multiplier rules
-    (module docstring), and modes "first" and "all" search the plain tree.
+    "count" that is the class tree left after the orbit, multiplier and shift
+    rules (module docstring), and modes "first" and "all" search the plain tree.
     ``exhausted`` is true iff the whole assignment space was covered, i.e.
     the run was not cut short by mode "first" or by ``limit``.
     ``solution_count`` equals len(solutions) except in mode "count", where
@@ -270,7 +286,14 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     # every class's size when q = kp or kp + p - 1; with q = p - 1 the orbit
     # rule's label must be p/2, so p must be even
     multiply = not collect and (rem == 0 or rem == p - 1 and (k or p % 2 == 0))
-    if not collect and (q < 2 * p or multiply):
+    # the shift rule (module docstring): x -> x + t keeps every class's size
+    # when p | q, and keeps residues distinct when the graph is regular, i.e.
+    # when its largest degree is the mean degree 2q/p = 2k
+    shift = not collect and rem == 0 and max(Counter(w for edge in graph.edges
+                                                     for w in edge).values()) == 2 * k
+    # the orbit rule, which the shift rule replaces when q = p
+    orbits = not collect and q < 2 * p and not shift
+    if multiply or orbits:
         # symmetry breaking (module docstring).  With the orbit rule off no label
         # is sym_label; with the multiplier rule off the unit group is the trivial
         # one, so no label is moved, every label is allowed and head stays -1
@@ -286,7 +309,11 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
         unmoved = sum(1 << r - 1 for r in range(1, p) if unit_orbit[r] > 1)
         allowed = sum(1 << x - 1 for x in range(1, q + 1) if unit_orbit[x % p] == 1 or p % x == 0)
         head_edges = [i for i, _, _ in steps[:head + 1]]
-        if q < 2 * p:
+        if shift:
+            # position 0 takes residue 0, the label p; each leaf stands for its p shifts
+            masks[0] = 1 << p - 1
+            weight *= p
+        if orbits:
             # sym_label, alone in its class, goes on each orbit's first-placed
             # edge only; with the multiplier rule its class is one every unit fixes.
             # The orbit search is loaded here, so no other search compiles it

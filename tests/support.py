@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -58,6 +59,57 @@ def all_graceful_oracle(graph: Graph) -> set[tuple[int, ...]]:
 def count_graceful_oracle(graph: Graph) -> int:
     """Count valid labelings by scanning every permutation (q <= 8 intended)."""
     return len(all_graceful_oracle(graph))
+
+
+def count_graceful_dp(graph: Graph, max_states: int = 100_000) -> int:
+    """Count valid labelings by dynamic programming over residues.
+
+    Labels l and l + p give every vertex the same residue, so this counts
+    residue assignments instead: each edge gets a residue c, on as many edges
+    as 1..q holds labels congruent to c, and each assignment with distinct
+    vertex residues stands for prod(m_c!) labelings.  Edges are taken in
+    sorted order.  A state holds how often each residue is used, the partial
+    sum of every vertex with edges still to come (0 for the others), and the
+    residues of the finished vertices as a bitmask, so two prefixes that agree
+    on these complete the same ways.  Raises ValueError when a step would
+    hold more than ``max_states`` states.
+    """
+    p, q = graph.p, graph.q
+    need = [len(range(c or p, q + 1, p)) for c in range(p)]  # labels per residue
+    edges = sorted(tuple(sorted(e)) for e in graph.edges)
+    left = [0] * p  # edges still to come, per vertex
+    for u, v in edges:
+        left[u] += 1
+        left[v] += 1
+    isolated = left.count(0)  # each is finished at residue 0 from the start
+    if isolated > 1:
+        return 0
+    states = {((0,) * p, (0,) * p, isolated): 1}
+    for u, v in edges:
+        left[u] -= 1
+        left[v] -= 1
+        step: dict[tuple, int] = {}
+        for (used, sums, done), ways in states.items():
+            for c in range(p):
+                if used[c] == need[c]:
+                    continue
+                new_sums = list(sums)
+                new_done = done
+                for w in (u, v):
+                    new_sums[w] = (sums[w] + c) % p
+                    if not left[w]:  # w is finished: its residue must be new
+                        bit = 1 << new_sums[w]
+                        if new_done & bit:
+                            break
+                        new_done |= bit
+                        new_sums[w] = 0
+                else:
+                    key = (used[:c] + (used[c] + 1,) + used[c + 1:], tuple(new_sums), new_done)
+                    step[key] = step.get(key, 0) + ways
+                    if len(step) > max_states:
+                        raise ValueError(f"more than {max_states} states")
+        states = step
+    return sum(states.values()) * math.prod(map(math.factorial, need))
 
 
 def automorphism_edge_orbits(graph: Graph) -> set[frozenset[int]]:

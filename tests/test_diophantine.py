@@ -556,9 +556,12 @@ class TestLazyImport:
             "assert codes == [0, 0, 0, 0, 0], codes\n"
             "assert 'edgegraceful.diophantine' not in sys.modules\n"
             "assert 'fractions' not in sys.modules\n"
-            "assert 'edgegraceful._orbits' not in sys.modules\n"
+            # a cycle's count search takes the shift rule, F_{1,3}'s the orbit rule
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main(['search', {str(cycle_doc)!r}, '--mode', 'count']) == 0\n"
+            "assert 'edgegraceful._orbits' not in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['search', {str(graph_doc)!r}, '--mode', 'count']) == 0\n"
             "assert 'edgegraceful._orbits' in sys.modules\n"
             "fan_eq = ['dioph', '7', '-2', '0', '-5', '-2', '0']\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -28,6 +28,7 @@ from support import (
     all_graceful_oracle,
     completion_flags_oracle,
     completion_order_oracle,
+    count_graceful_dp,
     count_graceful_oracle,
     lowest_index_order_oracle,
     random_simple_graph,
@@ -55,7 +56,8 @@ PINNED_NODES = [(3, 15), (5, 152), (69, 69), (23, 34), (9, 10973), (8, 10972)]
 # families, unshuffled; the node counts pin the symmetry-reduced class tree.
 # The cycles and the even paths have q = p or p - 1, so their trees were
 # recorded from the kernel that also applies the multiplier rule; the fans
-# and P_9 keep the trees of the orbit rule alone
+# and P_9 keep the trees of the orbit rule alone.  On the cycles the shift
+# rule replaced the orbit rule with the same trees: both put label p first
 PINNED_COUNT_TREES = [
     (fan(1, 3), 32, 68), (fan(1, 4), 0, 1_498), (fan(1, 5), 0, 35_154),
     (fan(2, 2), 32, 76), (fan(2, 3), 0, 2_567),
@@ -92,9 +94,24 @@ PINNED_DEEP_FIRST = [
 ]
 
 # K_5 has q = 2p, so no label is alone in its residue class; 787 200 is the
-# count of the 10! permutation scan, 235 470 the plain class tree's size and
-# 58 869 the size left by the multiplier rule
+# count of the 10! permutation scan, 235 470 the plain class tree's size,
+# 58 869 the size left by the multiplier rule and 11 775 by it and the shift
+# rule, since K_5 is regular
 K5 = complete(5)
+# the octahedron K_{2,2,2}: 4-regular, p = 6 and q = 12
+OCTAHEDRON = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) not in
+                       ((0, 1), (2, 3), (4, 5))])
+# a triangle with a two-edge tail: p = q = 5 but not regular, so no shift
+TAILED_TRIANGLE = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+
+
+def cycles(*lengths: int) -> Graph:
+    """The disjoint union of cycles of the given lengths: 2-regular, q = p."""
+    edges, start = [], 0
+    for n in lengths:
+        edges += [(start + u, start + v) for u, v in cycle(n).edges]
+        start += n
+    return Graph(start, edges)
 
 
 def solution_set(outcome) -> set[tuple[int, ...]]:
@@ -283,7 +300,7 @@ class TestResidueClassSearch:
     @pytest.mark.parametrize(
         "g",
         [g for g in small_corpus(n_random=50) if g.q <= 7]
-        + [fan(1, 3), fan(2, 2), fan(2, 3), cycle(7), cycle(8)],
+        + [fan(1, 3), fan(2, 2), fan(2, 3), cycle(7), cycle(8), cycles(3, 4), cycles(3, 5)],
     )
     def test_count_matches_permutation_oracle(self, g):
         expected = count_graceful_oracle(g)
@@ -408,7 +425,7 @@ class TestSymmetryBreaking:
 
     def test_count_without_a_class_unique_label(self):
         out = search(K5, SearchOptions(mode="count"))
-        assert (out.solution_count, out.nodes_expanded) == (787_200, 58_869)
+        assert (out.solution_count, out.nodes_expanded) == (787_200, 11_775)
         assert out.exhausted
 
     @pytest.mark.parametrize("g, count, nodes", PINNED_COUNT_TREES)
@@ -416,11 +433,20 @@ class TestSymmetryBreaking:
         out = search(g, SearchOptions(mode="count"))
         assert (out.solution_count, out.nodes_expanded, out.exhausted) == (count, nodes, True)
 
-    def test_count_limit_cuts_an_orbit_weighted_leaf(self):
-        # C_5: one orbit of 5 edges, weight 1, so every leaf adds 5 of the 20
+    def test_count_limit_cuts_a_shift_weighted_leaf(self):
+        # C_5: one leaf, weighted by 5 shifts and 4 unit multiples, holds all 20
         out = search(cycle(5), SearchOptions(mode="count", limit=7))
         assert out.solution_count == 7
         assert not out.exhausted
+
+    @pytest.mark.parametrize("limit, nodes", [(1, 4), (3, 25)])
+    def test_count_limit_cuts_an_orbit_weighted_leaf(self, limit, nodes):
+        # P_5: the orbit rule alone (odd p, q = p - 1), its label 1 on one
+        # edge of the two orbits of 2 edges, so each of its 2 leaves adds 2 of
+        # the 4; both limits stop inside a leaf
+        out = search(path(5), SearchOptions(mode="count", limit=limit))
+        assert (out.solution_count, out.nodes_expanded, out.exhausted) == (limit, nodes, False)
+        assert search(path(5), SearchOptions(mode="count")).solution_count == 4
 
     @pytest.mark.parametrize("g, before", [(cycle(7), 6_223), (cycle(8), 31_584),
                                            (cycle(9), 178_353), (path(10), 103_109),
@@ -431,7 +457,7 @@ class TestSymmetryBreaking:
 
     def test_count_is_exact_when_edge_orbits_gives_up(self, monkeypatch):
         monkeypatch.setattr(_orbits, "ORBIT_WORK_LIMIT", 0)
-        for g in (cycle(7), fan(1, 3), fan(2, 3), path(6)):
+        for g in (TAILED_TRIANGLE, fan(1, 3), fan(2, 3), path(6)):
             assert search(g, SearchOptions(mode="count")).solution_count == count_graceful_oracle(g)
 
     @pytest.mark.parametrize("limit", [1, 5, 50_000])
@@ -448,13 +474,16 @@ class TestSymmetryBreaking:
             assert len(outcomes) == 1, (g, outcomes)
 
     def test_only_the_orbit_rule_loads_the_orbit_search(self):
-        # K_5 has q = 2p: the multiplier rule alone, which needs no automorphisms
+        # K_5 has q = 2p: the multiplier and shift rules, which need no
+        # automorphisms; C_5 is 2-regular, so the shift rule replaces the
+        # orbit rule; F_{1,3} has q < 2p and is not regular
         code = ("import sys, edgegraceful as eg\n"
                 "k5 = eg.Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])\n"
                 "count = eg.SearchOptions(mode='count')\n"
                 "assert eg.search(k5, count).solution_count == 787_200\n"
-                "assert 'edgegraceful._orbits' not in sys.modules\n"
                 "assert eg.search(eg.cycle(5), count).solution_count == 20\n"
+                "assert 'edgegraceful._orbits' not in sys.modules\n"
+                "assert eg.search(eg.fan(1, 3), count).solution_count == 32\n"
                 "assert 'edgegraceful._orbits' in sys.modules\n")
         subprocess.run([sys.executable, "-c", code], env=src_env(), check=True, timeout=60)
 
@@ -518,7 +547,7 @@ class TestMultiplierSymmetry:
     @pytest.mark.parametrize("g, limit", [(cycle(7), 50), (cycle(9), 100), (K5, 1_000)],
                              ids=["cycle7", "cycle9", "K5"])
     def test_count_limit_clamps(self, g, limit):
-        # a leaf of C_7 stands for 7 edges times 6 unit multiples: 42 labelings
+        # a leaf of C_7 stands for 7 shifts times 6 unit multiples: 42 labelings
         out = search(g, SearchOptions(mode="count", limit=limit))
         assert (out.solution_count, out.exhausted) == (limit, False)
 
@@ -529,6 +558,74 @@ class TestMultiplierSymmetry:
             for q in range(1, p * (p - 1) // 2 + 1):
                 if q % p in (0, p - 1):
                     assert not lo_check(p, q).divides, (p, q)
+
+
+class TestShiftSymmetry:
+    """On a regular graph with p | q, count mode gives the first-placed edge
+    residue 0 and weights the leaf by the p shifts of every residue."""
+
+    @pytest.mark.parametrize("g, expected", [
+        (cycles(3, 6), 3_888), (cycles(4, 5), 2_160), (cycles(3, 3, 3), 12_960),
+    ], ids=["C3+C6", "C4+C5", "3C3"])
+    def test_count_matches_all_mode(self, g, expected, monkeypatch):
+        # mode "all" sums the plain class tree's weights; its labelings are
+        # not read here, so they are not built as records
+        monkeypatch.setattr(_search, "EdgeLabeling", lambda graph, labels: None)
+        assert search(g, SearchOptions(mode="all")).solution_count == expected
+        rng = random.Random(str(g.edges))
+        for h in (g, shuffled_copy(g, rng), shuffled_copy(g, rng)):
+            for limit in (None, 1, 1_000):
+                out = search(h, SearchOptions(mode="count", limit=limit))
+                want = expected if limit is None else min(limit, expected)
+                assert (out.solution_count, out.exhausted) == (want, want == expected), h
+
+    @pytest.mark.parametrize("g", [K5, cycles(3, 4), cycles(3, 5), cycles(3, 6), cycles(4, 5),
+                                   cycles(3, 3, 3), cycle(9)],
+                             ids=["K5", "C3+C4", "C3+C5", "C3+C6", "C4+C5", "3C3", "C9"])
+    def test_count_matches_the_residue_dp(self, g):
+        expected = count_graceful_dp(g)
+        for h in (g, shuffled_copy(g, random.Random(str(g.edges)))):
+            for limit in (None, 1_000):
+                out = search(h, SearchOptions(mode="count", limit=limit))
+                want = expected if limit is None else min(limit, expected)
+                assert (out.solution_count, out.exhausted) == (want, want == expected), h
+
+    def test_a_non_regular_graph_is_not_shifted(self):
+        # p = q = 5 as on C_5, but the degrees differ: shifting the residues
+        # would move the vertex sums unevenly, and a rule that skipped the
+        # degree test counted 0 here
+        out = search(TAILED_TRIANGLE, SearchOptions(mode="count"))
+        assert (out.solution_count, out.exhausted) == (16, True)
+        assert count_graceful_oracle(TAILED_TRIANGLE) == 16
+
+    @pytest.mark.parametrize("g, count, nodes", [
+        (K5, 787_200, 11_775), (OCTAHEDRON, 0, 888_117),
+        (cycles(3, 6), 3_888, 4_497), (cycles(4, 5), 2_160, 4_929),
+    ], ids=["K5", "octahedron", "C3+C6", "C4+C5"])
+    def test_count_trees_are_pinned(self, g, count, nodes):
+        # where no orbit rule gave a factor p the tree shrinks: K_5 and the
+        # octahedron to a p-th of the 58 869 and 5 328 684 nodes the
+        # multiplier rule leaves, C_3+C_6 and C_4+C_5 to about half of the
+        # 9 045 and 10 305 that the orbit rule, whose edge orbits are smaller
+        # than p there, and the multiplier rule leave.  The octahedron fails
+        # Lo's condition, and mode "all" takes 10 657 350 nodes there
+        out = search(g, SearchOptions(mode="count"))
+        assert (out.solution_count, out.nodes_expanded, out.exhausted) == (count, nodes, True)
+        out = search(shuffled_copy(g, random.Random(str(g.edges))), SearchOptions(mode="count"))
+        assert (out.solution_count, out.exhausted) == (count, True)
+
+
+class TestResidueDP:
+    """``count_graceful_dp``, the oracle the shift rule is checked against,
+    shares no code with the search; it is checked here against the scan."""
+
+    def test_matches_permutation_oracle(self):
+        for g in small_corpus():
+            assert count_graceful_dp(g) == count_graceful_oracle(g), g
+
+    def test_state_cap_raises(self):
+        with pytest.raises(ValueError, match="states"):
+            count_graceful_dp(cycle(11), max_states=1_000)
 
 
 class TestDegenerateInputs:
