@@ -12,14 +12,13 @@ The before side is the ``src/`` of git revision REV, extracted with
 runs in its own child process, the two alternating which goes first, and
 times four layers with ``time.perf_counter``:
 
-- solver: ``integer_solutions(eq)``, ``solve_factor_pairs(reduce(eq))``
-  alone, and ``solve_factor_pairs(reduce(eq))`` followed by a read of X, Y,
-  x and y of every row, per equation of ``perfbench/expected.json`` (the
-  F_{m,n} equations for m = 1..6 and the 96 random ones), which this script
-  only reads.  The read-all metric keeps cost that a version moves from
-  building a row to reading it in view.  One summary row per cell, the
-  F_{m,n} block and each random |N| decade and kind, gives each side's
-  median over the cell's equations;
+- solver: ``integer_solutions(eq)`` and ``factor_pair_trace(reduce(eq))``,
+  the table the ``dioph`` command prints, whose rows count the factor pairs
+  and whose ``integral`` flags count the rows that solve the equation, per
+  equation of ``perfbench/expected.json`` (the F_{m,n} equations for
+  m = 1..6 and the 96 random ones), which this script only reads.  One
+  summary row per cell, the F_{m,n} block and each random |N| decade and
+  kind, gives each side's median over the cell's equations;
 - search: ``search`` in modes "count" and "first" on ``SEARCH_GRAPHS``,
   where mode "first" is exhaustive on the graphs that have no labeling (C_8
   holds the median task of perfbench ``refute``, and P_11, with odd p, is a
@@ -30,8 +29,7 @@ times four layers with ``time.perf_counter``:
   of several leaves, with ``limit=2`` on K_17, whose leaf stands for
   8!**17 labelings, so the call times how much of one leaf's expansion
   two labelings cost, in mode "first" on F_{4,52}, F_{6,37} and P_801,
-  deep trees (q = 259, 258 and 800, the last at the default depth guard)
-  whose labels run far past 64 bits (``DEEP_GRAPHS``), and in mode "first"
+  deep trees (q = 259, 258 and 800) whose labels run far past 64 bits (``DEEP_GRAPHS``), and in mode "first"
   on F_{1,11} and F_{2,10}, whose witnesses take 69 and 107 nodes, so the
   row shows what returning one kept leaf costs (``SEARCH_RUNS``).  A row
   whose first call takes under ``SHORT_S`` is called ``REPEATS`` times, so
@@ -205,28 +203,25 @@ def time_order(eg) -> list[dict]:
 
 def time_solver(eg) -> list[dict]:
     """Per equation, the median call times (s) and the counts."""
+    from edgegraceful.diophantine import factor_pair_trace
+
     out = []
     for name, coeffs in equations():
         eq = eg.QuadraticDiophantine(*coeffs)
-        solve, rows, read = [], [], []
+        solve, trace = [], []
         for _ in range(REPEATS):
             t0 = time.perf_counter()
             solutions = eg.integer_solutions(eq)
             t1 = time.perf_counter()
-            table = eg.solve_factor_pairs(eg.reduce(eq))
+            table = factor_pair_trace(eg.reduce(eq))
             t2 = time.perf_counter()
-            for r in eg.solve_factor_pairs(eg.reduce(eq)):
-                r.X, r.Y, r.x, r.y
-            t3 = time.perf_counter()
             solve.append(t1 - t0)
-            rows.append(t2 - t1)
-            read.append(t3 - t2)
+            trace.append(t2 - t1)
         out.append({
             "equation": name, "coeffs": coeffs, "rows": len(table),
-            "integral_rows": sum(r.integral for r in table), "solutions": len(solutions),
+            "integral_rows": sum(r["integral"] for r in table), "solutions": len(solutions),
             "integer_solutions_s": statistics.median(solve),
-            "solve_factor_pairs_s": statistics.median(rows),
-            "solve_factor_pairs_read_s": statistics.median(read),
+            "factor_pair_trace_s": statistics.median(trace),
         })
     return out
 
@@ -404,15 +399,14 @@ def main() -> int:
                 runs[side].append(run_side(sides[side]))
         startup_rows, startup_bad = time_startup(sides)
 
-    solver_metrics = ("integer_solutions_s", "solve_factor_pairs_s", "solve_factor_pairs_read_s")
+    solver_metrics = ("integer_solutions_s", "factor_pair_trace_s")
     solver_rows, solver_bad = compare(runs, "solver", ("equation", "coeffs"),
                                       SOLVER_COUNTS, solver_metrics)
     search_rows, search_bad = compare(runs, "search", ("graph", "mode", "limit"),
                                       SEARCH_COUNTS, SEARCH_METRICS)
     order_rows, order_bad = compare(runs, "order", ("graph",), ORDER_COUNTS, ("order_s",))
     record = {
-        "what": "integer_solutions, solve_factor_pairs alone and solve_factor_pairs "
-                "with a read of X, Y, x and y of every row, per equation of "
+        "what": "integer_solutions and factor_pair_trace per equation of "
                 "perfbench/expected.json and their medians per cell, search per graph, "
                 "mode and limit, completion_order per graph, and child start-up per command, "
                 "before and after",

@@ -103,20 +103,12 @@ including the node counter and, in mode "first", the same labeling.
 The recursion goes one Python frame per edge but the last, whose label is
 the one left over: it is checked, not searched.  With one label left, its
 class is the only one with a candidate, so the penultimate frame reads it as
-the one set bit of the ``avail`` it would pass down.  A leaf makes no call, so
-the deepest frame is a ``place`` frame and ``STACK_MARGIN`` is exactly the
-frames left to the caller.  The expansion runs after the recursion has
-returned and nests the frame of ``leaf_labelings`` and one ``expand`` frame
-per class of two or more labels, plus one.  There are none unless q > p,
-and then at most min(p, q - p), so at most min(p, q - p) + 2 frames.  A
-simple graph on at most 3 vertices has at most 3 edges, so q > p means
-p >= 4, and min(p, q - p) + 2 <= q - p + 2 <= q - 2: the expansion stays
-below the q - 1 ``place`` frames before it.  With q <= p it nests two
-frames, within ``STACK_MARGIN``.
-A graph that ``search`` does not answer by rule first is refused with one
-ValueError, instead of overflowing, when it has more edges than the
-interpreter's recursion limit less ``STACK_MARGIN`` or when a caller deeper
-than ``STACK_MARGIN`` frames leaves too little of the limit.
+the one set bit of the ``avail`` it would pass down.  ``search`` never
+raises the interpreter's recursion limit.  A graph that it does not answer
+by rule first is refused with one ValueError, instead of overflowing, when
+its q - 1 ``place`` frames and ``search``'s own cannot fit below the limit,
+or when they, or the lazy expansion after them, pass the limit where the
+caller stands.
 """
 
 from __future__ import annotations
@@ -131,8 +123,6 @@ from .graphs import Graph, Record, require_int, shown
 from .labeling import EdgeLabeling, verify
 
 MODES = ("first", "all", "count")
-
-STACK_MARGIN = 200  # frames left for the caller above the one-per-edge recursion
 
 
 class SearchOptions(Record):
@@ -245,8 +235,9 @@ def _too_deep(q: int) -> ValueError:
 def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
     """Depth-first search for edge-graceful labelings of ``graph``.
 
-    Every graph the constructor accepts gets an answer, unless it reaches the
-    recursion with more edges than the depth guard (module docstring) allows.
+    Every graph the constructor accepts gets an answer, unless its
+    one-frame-per-edge recursion would pass ``sys.getrecursionlimit()`` where
+    ``search`` is called (module docstring).
     Two isolated vertices both induce residue 0, so a graph with more than
     one is refuted at once, whatever its size.  A graph with at most one edge
     has one labeling, 1..q, and ``verify`` decides it (only the empty one, on
@@ -268,7 +259,7 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
         found = verify(labeling).edge_graceful
         return SearchOutcome((labeling,) if found and collect else (), int(found), q,
                              not found or target != 1)
-    if q > sys.getrecursionlimit() - STACK_MARGIN:
+    if q >= sys.getrecursionlimit():  # q - 1 place frames and this one never fit
         raise _too_deep(q)
 
     steps = completion_order(graph)
@@ -451,11 +442,11 @@ def search(graph: Graph, options: SearchOptions | None = None) -> SearchOutcome:
 
     try:
         place(0, (1 << min(p, q)) - 1)  # each class's smallest label: 1..min(p, q)
+        # the first count labelings of the kept leaves, each leaf's own first
+        labelings = itertools.chain.from_iterable(map(leaf_labelings, leaves))
+        solutions = tuple(EdgeLabeling(graph, labels)
+                          for labels in itertools.islice(labelings, count))
     except RecursionError:
-        # the caller holds more than the STACK_MARGIN frames the check leaves it
+        # the caller stands too deep for this graph's recursion
         raise _too_deep(q) from None
-    # the first count labelings of the kept leaves, each leaf's own first
-    labelings = itertools.chain.from_iterable(map(leaf_labelings, leaves))
-    solutions = tuple(EdgeLabeling(graph, labels)
-                      for labels in itertools.islice(labelings, count))
     return SearchOutcome(solutions, count, nodes, not stopped)

@@ -535,20 +535,36 @@ class TestPipeline:
         assert code == 0
 
     def test_search_deeper_than_recursion_limit_exits_2(self):
-        # a traceback here would also exit 1, the "definitive no" code
+        # at the default limit of 1 000, P_999's 998 edges overflow below the
+        # CLI's own frames and P_1001's 1 000 are refused before set-up; a
+        # traceback here would also exit 1, the "definitive no" code
         env = src_env()
-        gen = subprocess.run(CLI + ["gen", "path", "--n", "1501"], capture_output=True,
+        for n in ("999", "1001"):
+            gen = subprocess.run(CLI + ["gen", "path", "--n", n], capture_output=True,
+                                 text=True, env=env, timeout=60, check=True)
+            proc = subprocess.run(CLI + ["search", "-"], input=gen.stdout,
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 2, n
+            assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, n
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == ""
+
+    def test_gen_search_verify_on_a_deep_odd_path(self):
+        # 900 edges, one frame each, fit below the default limit of 1 000
+        env = src_env()
+        gen = subprocess.run(CLI + ["gen", "path", "--n", "901"], capture_output=True,
                              text=True, env=env, timeout=60, check=True)
-        proc = subprocess.run(CLI + ["search", "-"], input=gen.stdout,
-                              capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error:")
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+        found = subprocess.run(CLI + ["search", "-"], input=gen.stdout,
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert (found.returncode, found.stderr) == (0, "")
+        verdict = subprocess.run(CLI + ["verify", "-"], input=found.stdout,
+                                 capture_output=True, text=True, env=env, timeout=60)
+        assert verdict.returncode == 0
+        assert "edge-graceful: yes" in verdict.stdout
 
     def test_search_refutes_a_deep_graph_with_isolated_vertices_exits_1(
             self, capsys, monkeypatch):
-        # two isolated vertices refute the graph before the depth guard is asked
+        # two isolated vertices refute the graph before its depth is asked
         q = sys.getrecursionlimit()
         doc = json.dumps({"p": q + 3, "edges": [[i, i + 1] for i in range(q)]})
         code, out, err = run_with_stdin(capsys, monkeypatch, doc, "search", "-")

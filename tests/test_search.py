@@ -22,9 +22,10 @@ from edgegraceful import (
     search,
     verify,
 )
-from edgegraceful._search import STACK_MARGIN, completion_order
+from edgegraceful._search import completion_order
 from edgegraceful import _orbits, _search
 from support import (
+    CORPUS_SEED,
     all_graceful_oracle,
     completion_flags_oracle,
     completion_order_oracle,
@@ -84,9 +85,8 @@ PINNED_ALL_ORDERS = [
 
 # (graph, nodes_expanded, sha256 of repr() of the witness labels) in mode
 # "first" of trees whose labels run far past 64 bits: q = 259, 258 and 800,
-# the last exactly at the depth guard of the default recursion limit.
-# Recorded from the kernel that walked every label with a class test at each
-# node
+# the last 800 frames deep.  Recorded from the kernel that walked every label
+# with a class test at each node
 PINNED_DEEP_FIRST = [
     (fan(4, 52), 867_293, "1ae3db951885d9469dfc3d4494da2d43fc8b7e08fab5746735352de63be9d6b4"),
     (fan(6, 37), 11_166, "06b9062d4f24429933a9779beda108a890a01f61a5ce02285fbc86506a4443f6"),
@@ -361,6 +361,27 @@ def frame_depth() -> int:
     return depth
 
 
+def stack_depth() -> int:
+    """The caller's depth as the recursion limit counts it: ``frame_depth()``
+    plus, on CPython before 3.12, the C calls between the caller's frames,
+    which the limit also counts (pytest makes a few)."""
+    def room(n: int) -> int:  # this frame stands n frames above the caller
+        try:
+            return room(n + 1)
+        except RecursionError:
+            return n
+
+    return sys.getrecursionlimit() - room(2)
+
+
+def search_from(depth: int, graph: Graph, here: int | None = None):
+    """``search(graph)`` called from a frame ``depth`` deep, as the recursion
+    limit counts it, so its deepest place frame stands depth + q deep."""
+    here = stack_depth() if here is None else here + 1
+    assert here <= depth
+    return search_from(depth, graph, here) if here < depth else search(graph)
+
+
 class TestLeafRule:
     """Every mode adds the leaf's weight; modes "first" and "all" keep the
     leaf and build its labelings after the recursion has returned."""
@@ -627,6 +648,21 @@ class TestResidueDP:
         with pytest.raises(ValueError, match="states"):
             count_graceful_dp(cycle(11), max_states=1_000)
 
+    @pytest.mark.parametrize("g", [fan(1, 5), fan(2, 4), path(9), path(11)],
+                             ids=["fan1_5", "fan2_4", "P9", "P11"])
+    def test_count_mode_matches_past_the_scan(self, g):
+        # q = 9, 11, 8 and 10: the orbit rule alone on the fans and paths,
+        # and the multiplier rule with it on F_{2,4}, where q = 2p - 1
+        assert search(g, SearchOptions(mode="count")).solution_count == count_graceful_dp(g)
+
+    def test_count_mode_matches_on_random_graphs(self):
+        # a multiplier rule applied at q mod p outside {0, p - 1}, or an
+        # orbit weight off by one, miscounts some of these
+        rng = random.Random(CORPUS_SEED)
+        for _ in range(30):
+            g = random_simple_graph(rng, max_p=9, max_q=10)
+            assert search(g, SearchOptions(mode="count")).solution_count == count_graceful_dp(g), g
+
 
 class TestDegenerateInputs:
     def test_single_vertex_graph_has_the_empty_labeling(self):
@@ -696,24 +732,36 @@ class TestDegenerateInputs:
             search(deep)
 
     def test_depth_beyond_recursion_limit_rejected(self):
-        # odd paths are labeled 1..q in order, so q levels are reached at once
-        depth = sys.getrecursionlimit() - STACK_MARGIN
-        n = depth + 1 if depth % 2 == 0 else depth
-        assert search(path(n)).solution_count == 1
+        # odd paths are labeled 1..q in order, so q levels are reached at once.
+        # Called from depth c, the deepest place frame stands c + q deep; one
+        # level is left for the C call it makes, which CPython before 3.12
+        # counts against the limit
+        limit = sys.getrecursionlimit()
+        q = (limit - stack_depth()) // 2 * 2 - 10  # an odd path's q is even
+        graph = path(q + 1)
+        assert search_from(limit - 1 - q, graph).solution_count == 1
         with pytest.raises(ValueError, match="recursion limit"):
-            search(path(depth + 2))
+            search_from(limit + 1 - q, graph)  # its deepest frame one past the limit
+        assert sys.getrecursionlimit() == limit
 
     def test_deep_caller_gets_value_error(self):
-        # the check above leaves STACK_MARGIN frames to the caller; this one uses more
-        depth = sys.getrecursionlimit() - STACK_MARGIN
-        graph = path(depth + 1 if depth % 2 == 0 else depth)
-
-        def nested(frames: int):
-            return nested(frames - 1) if frames else search(graph)
-
+        # the check before set-up passes any q below the limit; a caller that
+        # leaves too little of it gets the same ValueError from the recursion
+        limit = sys.getrecursionlimit()
+        graph = path(limit // 2 | 1)  # q = limit // 2 or one less
         with pytest.raises(ValueError, match="recursion limit"):
-            nested(STACK_MARGIN + 50)
+            search_from(limit - graph.q // 2, graph)
+        assert sys.getrecursionlimit() == limit
         assert search(graph).solution_count == 1
+
+    def test_overflow_in_the_expansion_gets_value_error(self, monkeypatch):
+        # the lazy expansion runs under the same guard as the kernel
+        def overflow(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(_search.itertools, "permutations", overflow)
+        with pytest.raises(ValueError, match="recursion limit"):
+            search(fan(1, 3), SearchOptions(mode="all"))
 
 
 class TestExhaustiveOracle:
